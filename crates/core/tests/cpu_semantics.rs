@@ -49,6 +49,37 @@ fn arithmetic_and_logic() {
 }
 
 #[test]
+fn li_loads_values_around_the_lui_rounding_boundary() {
+    // lui+addi rounds the high part up; just below 2^31 that would wrap
+    // into lui's sign bit, so these values must take the shift/or path.
+    for value in [
+        0x7fff_f7ffu64,
+        0x7fff_f800,
+        0x7fff_f900,
+        0x7fff_ffff,
+        0x8000_0000,
+        0x8000_0800,
+        0xffff_ffff_8000_0000,
+        0xffff_ffff_7fff_f7ff,
+    ] {
+        let cpu = run(&format!("li a0, {}\nhalt\n", value as i64));
+        assert_eq!(a0(&cpu), value, "li a0, {value:#x}");
+    }
+}
+
+#[test]
+fn la_loads_the_highest_reachable_address() {
+    let cpu = run("la a0, x\nhalt\nx:\nhalt\n");
+    assert_eq!(a0(&cpu), TEXT_BASE + 12, "la of a text label");
+    let program = assemble("la a0, x\nhalt\n.data\nx:\n.dword 1\n", TEXT_BASE, 0x7fff_f7f8)
+        .expect("0x7fff_f7f8 is in la range");
+    let mut cpu = Cpu::new(CoreConfig::paper());
+    cpu.load_program(&program);
+    assert_eq!(cpu.run(100).expect("no trap"), StepEvent::Halted);
+    assert_eq!(a0(&cpu), 0x7fff_f7f8);
+}
+
+#[test]
 fn riscv_division_by_zero_semantics() {
     let cpu = run("
         li a1, 42

@@ -16,13 +16,19 @@
 //! * **Typed** uses the NaN-detecting `tld`/`tsd` datapath: extraction,
 //!   type check, ALU binding, overflow detection and re-boxing all happen
 //!   in hardware.
+//!
+//! The interpreter text depends only on the ISA level and on the width of
+//! the entry's `li` of the main function's stack top, so it is assembled
+//! once per such key per process and cached; [`build_image`] then links
+//! just the module's data and patches the entry's main-function loads.
 
 use crate::bytecode::{Const, Module, Op};
 use crate::helpers_mod as helpers;
 use crate::layout::{self, callinfo, funcinfo, map, object, tag};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, Program, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label, Object, Program, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
 
 /// VM pc.
@@ -52,7 +58,7 @@ fn box_prefix17(t: u8) -> i64 {
 }
 
 /// A built jsrt image.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsImage {
     /// Assembled program.
     pub program: Program,
@@ -72,72 +78,178 @@ pub struct JsImage {
 ///
 /// Returns [`AsmError`] on assembly failure (codegen bug).
 pub fn build_image(module: &Module, level: IsaLevel) -> Result<JsImage, AsmError> {
-    let mut g = Gen::new(module, level);
-    g.emit_entry();
-    g.emit_dispatch();
-    g.emit_handlers();
-    g.emit_data();
-    g.finish()
+    let main = &module.protos[module.main];
+    let sp_top = map::STACK_BASE + main.nlocals as u64 * 8;
+    let interp = interpreter(level, ProgramBuilder::li_len(sp_top as i64))?;
+    let mut l = interp.object.linker();
+    l.set_import(interp.main_sp, sp_top);
+    let mut strings = Interner::default();
+    // The object's data ends with the dispatch table; the function table
+    // follows it.
+    let code: Vec<Label> = module.protos.iter().map(|_| l.new_label()).collect();
+    let consts: Vec<Label> = module.protos.iter().map(|_| l.new_label()).collect();
+    for (i, p) in module.protos.iter().enumerate() {
+        l.dword_label(code[i]);
+        l.dword_label(consts[i]);
+        l.dword(p.nlocals as u64);
+        l.dword(p.nlocals as u64 + p.max_stack as u64 + 1);
+    }
+    l.bind_import(interp.halt_bc);
+    let halt_word = crate::bytecode::Bc::new(Op::Halt, 0).encode();
+    l.bytes(&halt_word.to_le_bytes());
+    l.bytes(&halt_word.to_le_bytes());
+
+    for (i, p) in module.protos.iter().enumerate() {
+        l.align_data(8);
+        l.bind(code[i]);
+        if i == module.main {
+            l.bind_import(interp.main_code);
+        }
+        for bc in &p.code {
+            l.bytes(&bc.encode().to_le_bytes());
+        }
+        l.align_data(8);
+        l.bind(consts[i]);
+        if i == module.main {
+            l.bind_import(interp.main_consts);
+        }
+        for k in &p.consts {
+            let dword = match k {
+                Const::Int(v) => match i32::try_from(*v) {
+                    Ok(v32) => layout::box_int(v32),
+                    Err(_) => (*v as f64).to_bits(),
+                },
+                Const::Float(v) => v.to_bits(),
+                Const::Str(s) => layout::boxed(tag::STR, strings.intern(s) as u64),
+            };
+            l.dword(dword);
+        }
+    }
+    Ok(JsImage {
+        program: l.finish()?,
+        handler_entries: interp.handler_entries.clone(),
+        dispatch_pc: interp.dispatch_pc,
+        strings: strings.strings,
+        level,
+    })
 }
 
-struct Gen<'a> {
+/// The interpreter text for one key, with the module's HALT sentinel,
+/// main function and main stack top left to the linker.
+#[derive(Debug)]
+struct Interp {
+    object: Object,
+    handler_entries: Vec<(Op, u64)>,
+    dispatch_pc: u64,
+    halt_bc: Label,
+    main_code: Label,
+    main_consts: Label,
+    main_sp: Label,
+}
+
+/// The cached interpreter for `level` whose entry loads the main stack
+/// top in `sp_words` instructions, assembled on first use.
+fn interpreter(level: IsaLevel, sp_words: usize) -> Result<&'static Interp, AsmError> {
+    static TEXT: [[OnceLock<Result<Interp, AsmError>>; 2]; 3] =
+        [const { [const { OnceLock::new() }; 2] }; 3];
+    // `8·nlocals < 2^19`, so the stack top is one `lui` (low twelve bits
+    // zero) or a `lui`+`addi` pair; a wider value would fail to link.
+    let sp_words = sp_words.min(2);
+    TEXT[level as usize][sp_words - 1]
+        .get_or_init(|| Gen::new(level, sp_words).assemble())
+        .as_ref()
+        .map_err(Clone::clone)
+}
+
+/// String interning in first-use order; the index is the string id used
+/// in value payloads.
+#[derive(Default)]
+struct Interner {
+    strings: Vec<String>,
+    ids: HashMap<String, u32>,
+}
+
+impl Interner {
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(id) = self.ids.get(s) {
+            return *id;
+        }
+        let id = self.strings.len() as u32;
+        self.strings.push(s.to_string());
+        self.ids.insert(s.to_string(), id);
+        id
+    }
+}
+
+struct Gen {
     b: ProgramBuilder,
-    module: &'a Module,
     level: IsaLevel,
+    sp_words: usize,
     dispatch: Label,
     handler_labels: Vec<(Op, Label)>,
     stack_ov: Label,
     div_zero: Label,
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
-    func_code: Vec<Label>,
-    func_consts: Vec<Label>,
     dispatch_table: Label,
     functable: Label,
     halt_bc: Label,
+    main_code: Label,
+    main_consts: Label,
+    main_sp: Label,
 }
 
-impl<'a> Gen<'a> {
-    fn new(module: &'a Module, level: IsaLevel) -> Gen<'a> {
+impl Gen {
+    fn new(level: IsaLevel, sp_words: usize) -> Gen {
         let mut b = ProgramBuilder::new(map::TEXT_BASE, map::DATA_BASE);
         let dispatch = b.new_label("dispatch");
         let stack_ov = b.new_label("stack_overflow");
         let div_zero = b.new_label("div_zero");
         let handler_labels =
             Op::ALL.iter().map(|op| (*op, b.new_label(&format!("op_{}", op.name())))).collect();
-        let func_code =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("code_{i}"))).collect();
-        let func_consts =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("consts_{i}"))).collect();
         let dispatch_table = b.new_label("dispatch_table");
         let functable = b.new_label("functable");
-        let halt_bc = b.new_label("halt_bc");
+        let halt_bc = b.import("halt_bc");
+        let main_code = b.import("main_code");
+        let main_consts = b.import("main_consts");
+        let main_sp = b.import("main_sp");
         Gen {
             b,
-            module,
             level,
+            sp_words,
             dispatch,
             handler_labels,
             stack_ov,
             div_zero,
-            strings: Vec::new(),
-            string_ids: HashMap::new(),
-            func_code,
-            func_consts,
             dispatch_table,
             functable,
             halt_bc,
+            main_code,
+            main_consts,
+            main_sp,
         }
     }
 
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
+    fn assemble(mut self) -> Result<Interp, AsmError> {
+        self.emit_entry();
+        self.emit_dispatch();
+        self.emit_handlers();
+        self.emit_dispatch_table();
+        let object = self.b.finish_object()?;
+        let program = object.program();
+        let mut handler_entries: Vec<(Op, u64)> = Op::ALL
+            .iter()
+            .map(|op| (*op, program.symbol(&format!("op_{}", op.name())).expect("handler symbol")))
+            .collect();
+        handler_entries.sort_by_key(|(_, pc)| *pc);
+        let dispatch_pc = program.symbol("dispatch").expect("dispatch symbol");
+        Ok(Interp {
+            object,
+            handler_entries,
+            dispatch_pc,
+            halt_bc: self.halt_bc,
+            main_code: self.main_code,
+            main_consts: self.main_consts,
+            main_sp: self.main_sp,
+        })
     }
 
     fn handler(&self, op: Op) -> Label {
@@ -240,9 +352,9 @@ impl<'a> Gen<'a> {
         self.b.li(CI_LIM, map::CI_LIMIT as i64);
         self.b.li(STK_LIM, map::STACK_LIMIT as i64);
         self.b.li(LOCALS, map::STACK_BASE as i64);
-        let main = &self.module.protos[self.module.main];
-        self.b.li(SP, (map::STACK_BASE + main.nlocals as u64 * 8) as i64);
-        let (mc, mk) = (self.func_code[self.module.main], self.func_consts[self.module.main]);
+        let (sp, sp_words) = (self.main_sp, self.sp_words);
+        self.b.li_import(SP, sp, sp_words);
+        let (mc, mk) = (self.main_code, self.main_consts);
         self.b.la(KB, mk);
         self.b.la(PC, mc);
         self.b.la(Reg::T1, hb);
@@ -1032,7 +1144,9 @@ impl<'a> Gen<'a> {
 
     // --- data ------------------------------------------------------------------
 
-    fn emit_data(&mut self) {
+    /// The dispatch table (one handler address per opcode), then the
+    /// function table's label: the data every module shares.
+    fn emit_dispatch_table(&mut self) {
         self.b.align_data(8);
         let dt = self.dispatch_table;
         self.b.bind_data(dt);
@@ -1042,56 +1156,5 @@ impl<'a> Gen<'a> {
         }
         let ft = self.functable;
         self.b.bind_data(ft);
-        for i in 0..self.module.protos.len() {
-            let (c, k) = (self.func_code[i], self.func_consts[i]);
-            let p = &self.module.protos[i];
-            self.b.dword_label(c);
-            self.b.dword_label(k);
-            self.b.dword(p.nlocals as u64);
-            self.b.dword(p.nlocals as u64 + p.max_stack as u64 + 1);
-        }
-        let hb = self.halt_bc;
-        self.b.bind_data(hb);
-        let halt_word = crate::bytecode::Bc::new(Op::Halt, 0).encode();
-        self.b.bytes(&halt_word.to_le_bytes());
-        self.b.bytes(&halt_word.to_le_bytes());
-
-        for i in 0..self.module.protos.len() {
-            self.b.align_data(8);
-            let cl = self.func_code[i];
-            self.b.bind_data(cl);
-            let words: Vec<u8> = self.module.protos[i]
-                .code
-                .iter()
-                .flat_map(|bc| bc.encode().to_le_bytes())
-                .collect();
-            self.b.bytes(&words);
-            self.b.align_data(8);
-            let kl = self.func_consts[i];
-            self.b.bind_data(kl);
-            let consts = self.module.protos[i].consts.clone();
-            for k in &consts {
-                let dword = match k {
-                    Const::Int(v) => match i32::try_from(*v) {
-                        Ok(v32) => layout::box_int(v32),
-                        Err(_) => (*v as f64).to_bits(),
-                    },
-                    Const::Float(v) => v.to_bits(),
-                    Const::Str(s) => layout::boxed(tag::STR, self.intern(s) as u64),
-                };
-                self.b.dword(dword);
-            }
-        }
-    }
-
-    fn finish(self) -> Result<JsImage, AsmError> {
-        let program = self.b.finish()?;
-        let mut handler_entries: Vec<(Op, u64)> = Op::ALL
-            .iter()
-            .map(|op| (*op, program.symbol(&format!("op_{}", op.name())).expect("handler symbol")))
-            .collect();
-        handler_entries.sort_by_key(|(_, pc)| *pc);
-        let dispatch_pc = program.symbol("dispatch").expect("dispatch symbol");
-        Ok(JsImage { program, handler_entries, dispatch_pc, strings: self.strings, level: self.level })
     }
 }

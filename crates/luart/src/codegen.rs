@@ -7,6 +7,11 @@
 //! instruction counts, branch behaviour and I-cache pressure emerge from
 //! real execution.
 //!
+//! The interpreter text depends only on the ISA level, so it is assembled
+//! once per level per process and cached; [`build_image`] then links just
+//! the module's data (function table, bytecode, constants, strings) and
+//! patches the entry's loads of the main function's addresses.
+//!
 //! Three variants of the five hot bytecodes (paper Table 3) are selected by
 //! [`IsaLevel`]:
 //!
@@ -25,8 +30,9 @@ use crate::helpers;
 use crate::layout::{callinfo, funcinfo, map, table, tag, TAG_OFFSET};
 use crate::layout;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, Program, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label, Object, Program, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
 
 // Register conventions of the generated interpreter.
@@ -55,7 +61,7 @@ const RA: Reg = Reg::S10;
 
 /// A built engine image: program plus the metadata the runtime and the
 /// experiment harness need.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LuaImage {
     /// The assembled program.
     pub program: Program,
@@ -76,26 +82,104 @@ pub struct LuaImage {
 /// Returns [`AsmError`] if the emitted program fails to assemble (it only
 /// can if a handler outgrows branch range, which would be a codegen bug).
 pub fn build_image(module: &Module, level: IsaLevel) -> Result<LuaImage, AsmError> {
-    let mut g = Gen::new(module, level);
-    g.emit_entry();
-    g.emit_dispatch();
-    g.emit_handlers();
-    g.emit_data();
-    g.finish()
+    let interp = interpreter(level)?;
+    let mut l = interp.object.linker();
+    let mut strings = Interner::default();
+    // The object's data ends with the dispatch table; the function table
+    // follows it.
+    let code: Vec<Label> = module.protos.iter().map(|_| l.new_label()).collect();
+    let consts: Vec<Label> = module.protos.iter().map(|_| l.new_label()).collect();
+    for (i, p) in module.protos.iter().enumerate() {
+        l.dword_label(code[i]);
+        l.dword_label(consts[i]);
+        l.dword(p.nregs as u64 + 1);
+        l.dword(0); // reserved
+    }
+    // HALT sentinel bytecode (bottom-of-stack return target).
+    l.bind_import(interp.halt_bc);
+    let halt_word = crate::bytecode::Bc::new(Op::Halt, 0, 0, 0).encode();
+    l.bytes(&halt_word.to_le_bytes());
+    l.bytes(&halt_word.to_le_bytes()); // padding word
+
+    // Per-function bytecode and constants.
+    for (i, p) in module.protos.iter().enumerate() {
+        l.align_data(8);
+        l.bind(code[i]);
+        if i == module.main {
+            l.bind_import(interp.main_code);
+        }
+        for bc in &p.code {
+            l.bytes(&bc.encode().to_le_bytes());
+        }
+        l.align_data(16);
+        l.bind(consts[i]);
+        if i == module.main {
+            l.bind_import(interp.main_consts);
+        }
+        for k in &p.consts {
+            let (value, t) = match k {
+                Const::Int(v) => (*v as u64, tag::INT),
+                Const::Float(v) => (v.to_bits(), tag::FLOAT),
+                Const::Str(s) => (strings.intern(s) as u64, tag::STR),
+            };
+            l.dword(value);
+            l.dword(t as u64);
+        }
+    }
+    Ok(LuaImage {
+        program: l.finish()?,
+        handler_entries: interp.handler_entries.clone(),
+        dispatch_pc: interp.dispatch_pc,
+        strings: strings.strings,
+        level,
+    })
 }
 
-struct Gen<'a> {
+/// The interpreter text for one ISA level, with the addresses of the
+/// module's HALT sentinel and main function left to the linker.
+#[derive(Debug)]
+struct Interp {
+    object: Object,
+    handler_entries: Vec<(Op, u64)>,
+    dispatch_pc: u64,
+    halt_bc: Label,
+    main_code: Label,
+    main_consts: Label,
+}
+
+/// The cached interpreter for `level`, assembled on first use.
+fn interpreter(level: IsaLevel) -> Result<&'static Interp, AsmError> {
+    static TEXT: [OnceLock<Result<Interp, AsmError>>; 3] = [const { OnceLock::new() }; 3];
+    TEXT[level as usize].get_or_init(|| Gen::new(level).assemble()).as_ref().map_err(Clone::clone)
+}
+
+/// String interning in first-use order; the index is the string id used
+/// in value payloads.
+#[derive(Default)]
+struct Interner {
+    strings: Vec<String>,
+    ids: HashMap<String, u32>,
+}
+
+impl Interner {
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(id) = self.ids.get(s) {
+            return *id;
+        }
+        let id = self.strings.len() as u32;
+        self.strings.push(s.to_string());
+        self.ids.insert(s.to_string(), id);
+        id
+    }
+}
+
+struct Gen {
     b: ProgramBuilder,
-    module: &'a Module,
     level: IsaLevel,
     dispatch: Label,
     handler_labels: Vec<(Op, Label)>,
     stack_ov: Label,
     div_zero: Label,
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
-    func_code: Vec<Label>,
-    func_consts: Vec<Label>,
     dispatch_table: Label,
     functable: Label,
     halt_bc: Label,
@@ -103,35 +187,26 @@ struct Gen<'a> {
     main_consts: Label,
 }
 
-impl<'a> Gen<'a> {
-    fn new(module: &'a Module, level: IsaLevel) -> Gen<'a> {
+impl Gen {
+    fn new(level: IsaLevel) -> Gen {
         let mut b = ProgramBuilder::new(map::TEXT_BASE, map::DATA_BASE);
         let dispatch = b.new_label("dispatch");
         let stack_ov = b.new_label("stack_overflow");
         let div_zero = b.new_label("div_zero");
         let handler_labels =
             Op::ALL.iter().map(|op| (*op, b.new_label(&format!("op_{}", op.name())))).collect();
-        let func_code =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("code_{i}"))).collect();
-        let func_consts =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("consts_{i}"))).collect();
         let dispatch_table = b.new_label("dispatch_table");
         let functable = b.new_label("functable");
-        let halt_bc = b.new_label("halt_bc");
-        let main_code = b.new_label("main_code_alias");
-        let main_consts = b.new_label("main_consts_alias");
+        let halt_bc = b.import("halt_bc");
+        let main_code = b.import("main_code_alias");
+        let main_consts = b.import("main_consts_alias");
         Gen {
             b,
-            module,
             level,
             dispatch,
             handler_labels,
             stack_ov,
             div_zero,
-            strings: Vec::new(),
-            string_ids: HashMap::new(),
-            func_code,
-            func_consts,
             dispatch_table,
             functable,
             halt_bc,
@@ -140,14 +215,27 @@ impl<'a> Gen<'a> {
         }
     }
 
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
+    fn assemble(mut self) -> Result<Interp, AsmError> {
+        self.emit_entry();
+        self.emit_dispatch();
+        self.emit_handlers();
+        self.emit_dispatch_table();
+        let object = self.b.finish_object()?;
+        let program = object.program();
+        let mut handler_entries: Vec<(Op, u64)> = Op::ALL
+            .iter()
+            .map(|op| (*op, program.symbol(&format!("op_{}", op.name())).expect("handler symbol")))
+            .collect();
+        handler_entries.sort_by_key(|(_, pc)| *pc);
+        let dispatch_pc = program.symbol("dispatch").expect("dispatch symbol");
+        Ok(Interp {
+            object,
+            handler_entries,
+            dispatch_pc,
+            halt_bc: self.halt_bc,
+            main_code: self.main_code,
+            main_consts: self.main_consts,
+        })
     }
 
     fn handler(&self, op: Op) -> Label {
@@ -1141,8 +1229,9 @@ impl<'a> Gen<'a> {
 
     // --- data section --------------------------------------------------------
 
-    fn emit_data(&mut self) {
-        // Dispatch table: one handler address per opcode.
+    /// The dispatch table (one handler address per opcode), then the
+    /// function table's label: the data every module shares.
+    fn emit_dispatch_table(&mut self) {
         self.b.align_data(8);
         let dt = self.dispatch_table;
         self.b.bind_data(dt);
@@ -1150,73 +1239,7 @@ impl<'a> Gen<'a> {
             let h = self.handler(op);
             self.b.dword_label(h);
         }
-        // Function table.
         let ft = self.functable;
         self.b.bind_data(ft);
-        for i in 0..self.module.protos.len() {
-            let (c, k) = (self.func_code[i], self.func_consts[i]);
-            self.b.dword_label(c);
-            self.b.dword_label(k);
-            self.b.dword(self.module.protos[i].nregs as u64 + 1);
-            self.b.dword(0); // reserved
-        }
-        // HALT sentinel bytecode (bottom-of-stack return target).
-        let hb = self.halt_bc;
-        self.b.bind_data(hb);
-        let halt_word = crate::bytecode::Bc::new(Op::Halt, 0, 0, 0).encode();
-        self.b.bytes(&halt_word.to_le_bytes());
-        self.b.bytes(&halt_word.to_le_bytes()); // padding word
-
-        // Per-function bytecode and constants.
-        for i in 0..self.module.protos.len() {
-            self.b.align_data(8);
-            let cl = self.func_code[i];
-            self.b.bind_data(cl);
-            if i == self.module.main {
-                let mc = self.main_code;
-                self.b.bind_data(mc);
-            }
-            let words: Vec<u8> = self.module.protos[i]
-                .code
-                .iter()
-                .flat_map(|bc| bc.encode().to_le_bytes())
-                .collect();
-            self.b.bytes(&words);
-            self.b.align_data(16);
-            let kl = self.func_consts[i];
-            self.b.bind_data(kl);
-            if i == self.module.main {
-                let mk = self.main_consts;
-                self.b.bind_data(mk);
-            }
-            let consts = self.module.protos[i].consts.clone();
-            for k in &consts {
-                let (value, t) = match k {
-                    Const::Int(v) => (*v as u64, tag::INT),
-                    Const::Float(v) => (v.to_bits(), tag::FLOAT),
-                    Const::Str(s) => (self.intern(s) as u64, tag::STR),
-                };
-                self.b.dword(value);
-                self.b.dword(t as u64);
-            }
-        }
     }
-
-    fn finish(self) -> Result<LuaImage, AsmError> {
-        let program = self.b.finish()?;
-        let mut handler_entries: Vec<(Op, u64)> = Op::ALL
-            .iter()
-            .map(|op| (*op, program.symbol(&format!("op_{}", op.name())).expect("handler symbol")))
-            .collect();
-        handler_entries.sort_by_key(|(_, pc)| *pc);
-        let dispatch_pc = program.symbol("dispatch").expect("dispatch symbol");
-        Ok(LuaImage {
-            program,
-            handler_entries,
-            dispatch_pc,
-            strings: self.strings,
-            level: self.level,
-        })
-    }
-
 }

@@ -16,7 +16,6 @@
 //! * real Lua, JS and WASM workloads through the full simulated engines,
 //!   at all three ISA levels.
 
-use std::collections::BTreeMap;
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{BranchStats, CoreConfig, Cpu, PerfCounters, StepEvent, Trap};
 use tarch_isa::asm::Program;
@@ -149,7 +148,7 @@ fn run_form(instr: Instruction, variant: Variant) -> Observed {
         data_base: DATA_BASE,
         data: (0..=255u8).collect(),
         entry: TEXT_BASE,
-        symbols: BTreeMap::new(),
+        symbols: Default::default(),
     };
     let mut cpu = Cpu::new(config(variant));
     cpu.load_program(&program);
