@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use tarch_bench::workloads;
 use tarch_core::{BlockStats, CoreConfig, IsaLevel, PerfCounters};
-use tarch_runner::Scale;
+use tarch_runner::{EngineKind, Scale};
 
 fn run_cell(
     src: &str,
@@ -28,33 +28,14 @@ fn run_cell(
     level: IsaLevel,
     core: CoreConfig,
 ) -> (f64, PerfCounters, BlockStats) {
-    match engine {
-        "lua" => {
-            let mut vm = luart::LuaVm::from_source(src, level, core).expect("compiles");
-            let start = Instant::now();
-            vm.run(u64::MAX).expect("halts");
-            let secs = start.elapsed().as_secs_f64();
-            let c = *vm.cpu().counters();
-            (c.instructions as f64 / secs / 1e6, c, vm.cpu().block_stats())
-        }
-        "js" => {
-            let mut vm = jsrt::JsVm::from_source(src, level, core).expect("compiles");
-            let start = Instant::now();
-            vm.run(u64::MAX).expect("halts");
-            let secs = start.elapsed().as_secs_f64();
-            let c = *vm.cpu().counters();
-            (c.instructions as f64 / secs / 1e6, c, vm.cpu().block_stats())
-        }
-        "wasm" => {
-            let mut vm = wasmrt::WasmVm::from_source(src, level, core).expect("compiles");
-            let start = Instant::now();
-            vm.run(u64::MAX).expect("halts");
-            let secs = start.elapsed().as_secs_f64();
-            let c = *vm.cpu().counters();
-            (c.instructions as f64 / secs / 1e6, c, vm.cpu().block_stats())
-        }
-        other => panic!("unknown engine `{other}` (expected lua, js or wasm)"),
-    }
+    let engine = EngineKind::parse(engine)
+        .unwrap_or_else(|| panic!("unknown engine `{engine}` (expected lua, js or wasm)"));
+    let mut vm = tarch_fleet::build_guest(engine, src, level, core).expect("compiles");
+    let start = Instant::now();
+    vm.run(u64::MAX).expect("halts");
+    let secs = start.elapsed().as_secs_f64();
+    let c = *vm.cpu().counters();
+    (c.instructions as f64 / secs / 1e6, c, vm.cpu().block_stats())
 }
 
 fn median(xs: &mut [f64]) -> f64 {

@@ -563,31 +563,12 @@ fn profile_pairs(opts: &Opts, ws: &[workloads::Workload]) -> Result<(), String> 
                 if opts.verbose {
                     eprintln!("profiling {label}...");
                 }
-                let profile = match engine {
-                    EngineKind::Lua => {
-                        let mut vm = luart::LuaVm::from_source(&src, level, core.clone())
-                            .map_err(|e| format!("{label}: {e}"))?;
-                        vm.cpu_mut().enable_pair_profile();
-                        vm.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
-                        vm.cpu().pair_profile().cloned()
-                    }
-                    EngineKind::Js => {
-                        let mut vm = jsrt::JsVm::from_source(&src, level, core.clone())
-                            .map_err(|e| format!("{label}: {e}"))?;
-                        vm.cpu_mut().enable_pair_profile();
-                        vm.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
-                        vm.cpu().pair_profile().cloned()
-                    }
-                    EngineKind::Wasm => {
-                        let mut vm = wasmrt::WasmVm::from_source(&src, level, core.clone())
-                            .map_err(|e| format!("{label}: {e}"))?;
-                        vm.cpu_mut().enable_pair_profile();
-                        vm.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
-                        vm.cpu().pair_profile().cloned()
-                    }
-                };
-                if let Some(p) = profile {
-                    wprofile.merge(&p);
+                let mut guest = tarch_fleet::build_guest(engine, &src, level, core.clone())
+                    .map_err(|e| format!("{label}: {e}"))?;
+                guest.cpu_mut().enable_pair_profile();
+                guest.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
+                if let Some(p) = guest.cpu().pair_profile() {
+                    wprofile.merge(p);
                 }
                 cells += 1;
             }
@@ -669,29 +650,17 @@ fn trace_cell(opts: &Opts, cell: &str) -> Result<(), String> {
     if opts.verbose {
         eprintln!("tracing {label} (sample period {} cycles)...", tc.sample_period);
     }
-    match engine {
-        EngineKind::Lua => {
-            let mut vm = luart::LuaVm::from_source(&src, level, core)
-                .map_err(|e| format!("{label}: {e}"))?;
-            vm.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
-            let symbols = vm.image().program.symbols.clone();
-            render_trace(vm.cpu_mut(), &symbols, &label, opts.trace_out.as_deref(), opts.emit_json.as_deref())
-        }
-        EngineKind::Js => {
-            let mut vm = jsrt::JsVm::from_source(&src, level, core)
-                .map_err(|e| format!("{label}: {e}"))?;
-            vm.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
-            let symbols = vm.image().program.symbols.clone();
-            render_trace(vm.cpu_mut(), &symbols, &label, opts.trace_out.as_deref(), opts.emit_json.as_deref())
-        }
-        EngineKind::Wasm => {
-            let mut vm = wasmrt::WasmVm::from_source(&src, level, core)
-                .map_err(|e| format!("{label}: {e}"))?;
-            vm.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
-            let symbols = vm.image().program.symbols.clone();
-            render_trace(vm.cpu_mut(), &symbols, &label, opts.trace_out.as_deref(), opts.emit_json.as_deref())
-        }
-    }
+    let mut guest =
+        tarch_fleet::build_guest(engine, &src, level, core).map_err(|e| format!("{label}: {e}"))?;
+    guest.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
+    let symbols = guest.program().symbols.clone();
+    render_trace(
+        guest.cpu_mut(),
+        &symbols,
+        &label,
+        opts.trace_out.as_deref(),
+        opts.emit_json.as_deref(),
+    )
 }
 
 /// Flushes the finished cell's tracer and renders/writes its artifacts.
@@ -1121,7 +1090,7 @@ fn run_ab_side(
     core: CoreConfig,
     budget: u64,
 ) -> Result<(tarch_core::PerfCounters, u64, tarch_core::BlockStats, String), String> {
-    let mut guest = tarch_fleet::build_guest(engine, src, level, core)?;
+    let mut guest = tarch_fleet::build_guest(engine, src, level, core).map_err(|e| e.to_string())?;
     let t0 = std::time::Instant::now();
     guest.run_slice(budget)?;
     let nanos = t0.elapsed().as_nanos() as u64;

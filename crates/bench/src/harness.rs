@@ -16,6 +16,7 @@ use tarch_core::{CoreConfig, IsaLevel};
 use tarch_runner::{
     run_jobs, BenchArtifact, ExecError, JobOutcome, JobSpec, PgoSet, RunConfig, RunStats,
 };
+use tarch_sim::EngineError;
 
 pub use tarch_runner::{CellResult, EngineKind};
 
@@ -59,87 +60,26 @@ pub fn job_spec_with(
 /// [`ExecError::StepBudget`] when the budget is exhausted, otherwise
 /// [`ExecError::Failed`] with the engine's message.
 pub fn exec_job(spec: &JobSpec, step_budget: u64) -> Result<CellResult, ExecError> {
-    let core = spec.core.clone();
-    match spec.engine {
-        EngineKind::Lua => {
-            let mut vm = luart::LuaVm::from_source(&spec.source, spec.level, core)
-                .map_err(|e| ExecError::Failed(e.to_string()))?;
-            let sim_started = std::time::Instant::now();
-            let r = if spec.profiled {
-                vm.run_profiled(step_budget)
-            } else {
-                vm.run(step_budget)
-            };
-            let sim_nanos = sim_started.elapsed().as_nanos() as u64;
-            match r {
-                Ok(r) => Ok(CellResult {
-                    counters: r.counters,
-                    branch: r.branch,
-                    output: r.output,
-                    bytecodes: r.profile.as_ref().map(|p| p.total_bytecodes()),
-                    sim_nanos,
-                    tier_deopts: vm.cpu().block_stats().tier_deopts,
-                    // `None` unless the spec's core config enabled tracing.
-                    trace: vm.cpu_mut().finish_trace(),
-                }),
-                Err(luart::EngineError::StepLimit { max_steps }) => {
-                    Err(ExecError::StepBudget { steps: max_steps })
-                }
-                Err(e) => Err(ExecError::Failed(e.to_string())),
-            }
+    let mut vm = tarch_fleet::build_guest(spec.engine, &spec.source, spec.level, spec.core.clone())
+        .map_err(|e| ExecError::Failed(e.to_string()))?;
+    let sim_started = std::time::Instant::now();
+    let r = if spec.profiled { vm.run_profiled(step_budget) } else { vm.run(step_budget) };
+    let sim_nanos = sim_started.elapsed().as_nanos() as u64;
+    match r {
+        Ok(r) => Ok(CellResult {
+            counters: r.counters,
+            branch: r.branch,
+            output: r.output,
+            bytecodes: r.profile.as_ref().map(|p| p.total_bytecodes()),
+            sim_nanos,
+            tier_deopts: vm.cpu().block_stats().tier_deopts,
+            // `None` unless the spec's core config enabled tracing.
+            trace: vm.cpu_mut().finish_trace(),
+        }),
+        Err(EngineError::StepLimit { max_steps }) => {
+            Err(ExecError::StepBudget { steps: max_steps })
         }
-        EngineKind::Js => {
-            let mut vm = jsrt::JsVm::from_source(&spec.source, spec.level, core)
-                .map_err(|e| ExecError::Failed(e.to_string()))?;
-            let sim_started = std::time::Instant::now();
-            let r = if spec.profiled {
-                vm.run_profiled(step_budget)
-            } else {
-                vm.run(step_budget)
-            };
-            let sim_nanos = sim_started.elapsed().as_nanos() as u64;
-            match r {
-                Ok(r) => Ok(CellResult {
-                    counters: r.counters,
-                    branch: r.branch,
-                    output: r.output,
-                    bytecodes: r.profile.as_ref().map(|p| p.total_bytecodes()),
-                    sim_nanos,
-                    tier_deopts: vm.cpu().block_stats().tier_deopts,
-                    trace: vm.cpu_mut().finish_trace(),
-                }),
-                Err(jsrt::EngineError::StepLimit { max_steps }) => {
-                    Err(ExecError::StepBudget { steps: max_steps })
-                }
-                Err(e) => Err(ExecError::Failed(e.to_string())),
-            }
-        }
-        EngineKind::Wasm => {
-            let mut vm = wasmrt::WasmVm::from_source(&spec.source, spec.level, core)
-                .map_err(|e| ExecError::Failed(e.to_string()))?;
-            let sim_started = std::time::Instant::now();
-            let r = if spec.profiled {
-                vm.run_profiled(step_budget)
-            } else {
-                vm.run(step_budget)
-            };
-            let sim_nanos = sim_started.elapsed().as_nanos() as u64;
-            match r {
-                Ok(r) => Ok(CellResult {
-                    counters: r.counters,
-                    branch: r.branch,
-                    output: r.output,
-                    bytecodes: r.profile.as_ref().map(|p| p.total_bytecodes()),
-                    sim_nanos,
-                    tier_deopts: vm.cpu().block_stats().tier_deopts,
-                    trace: vm.cpu_mut().finish_trace(),
-                }),
-                Err(wasmrt::EngineError::StepLimit { max_steps }) => {
-                    Err(ExecError::StepBudget { steps: max_steps })
-                }
-                Err(e) => Err(ExecError::Failed(e.to_string())),
-            }
-        }
+        Err(e) => Err(ExecError::Failed(e.to_string())),
     }
 }
 

@@ -5,6 +5,9 @@
 //! hardware. This crate reproduces that deployment shape on top of the
 //! simulator:
 //!
+//! * [`Guest`] — one guest VM of any engine behind one type, built by
+//!   [`build_guest`] from an `EngineKind`; the harness and `repro` run
+//!   cells through it too;
 //! * [`Template`] — the fork-server idiom. Construct a guest VM once
 //!   (parse → compile → typed codegen → load), freeze its simulated
 //!   memory into a shared copy-on-write base image
@@ -36,7 +39,7 @@ mod snapshot;
 pub use scheduler::{
     run_fleet, FleetConfig, FleetOutcome, ShardReport, TenantOutcome, TenantStatus,
 };
-pub use snapshot::{build_guest, measure_costs, CloneCosts, Guest, Template};
+pub use snapshot::{build_guest, measure_costs, CloneCosts, Guest, GuestReport, Template};
 
 #[cfg(test)]
 mod tests {

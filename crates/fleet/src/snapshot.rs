@@ -21,13 +21,17 @@
 
 use jsrt::JsVm;
 use luart::LuaVm;
-use wasmrt::WasmVm;
 use std::time::Instant;
-use tarch_core::{Cpu, CoreConfig, IsaLevel};
+use tarch_core::{CoreConfig, Cpu, IsaLevel};
+use tarch_isa::asm::Program;
 use tarch_runner::EngineKind;
-use tarch_sim::RunOutcome;
+use tarch_sim::{EngineError, RunOutcome, RunReport};
+use wasmrt::WasmVm;
 
-/// One cloned guest VM, engine-erased for the scheduler.
+/// One guest VM of any engine, engine-erased for the scheduler, the
+/// experiment harness and the measurement tooling. Built by
+/// [`build_guest`]; every method forwards to the engine's
+/// [`tarch_sim::Vm`].
 #[derive(Debug, Clone)]
 pub enum Guest {
     /// A `luart` engine instance.
@@ -38,86 +42,93 @@ pub enum Guest {
     Wasm(Box<WasmVm>),
 }
 
+/// A run report whose profile names each opcode by its mnemonic.
+pub type GuestReport = RunReport<&'static str>;
+
+/// Evaluates `$body` with `$vm` bound to the guest's engine VM.
+macro_rules! with_vm {
+    ($guest:expr, $vm:ident => $body:expr) => {
+        match $guest {
+            Guest::Lua($vm) => $body,
+            Guest::Js($vm) => $body,
+            Guest::Wasm($vm) => $body,
+        }
+    };
+}
+
 impl Guest {
+    /// Runs to completion (up to `max_steps` simulated instructions).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError`] on traps, runtime errors, or step-limit exhaustion.
+    pub fn run(&mut self, max_steps: u64) -> Result<GuestReport, EngineError> {
+        with_vm!(self, vm => vm.run(max_steps).map(|r| r.map_ops(|op| op.name())))
+    }
+
+    /// Runs to completion with per-opcode attribution.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Guest::run`].
+    pub fn run_profiled(&mut self, max_steps: u64) -> Result<GuestReport, EngineError> {
+        with_vm!(self, vm => vm.run_profiled(max_steps).map(|r| r.map_ops(|op| op.name())))
+    }
+
     /// Runs one scheduling slice of up to `max_steps` simulated
     /// instructions; exhausting the slice leaves the guest resumable.
     ///
     /// # Errors
     ///
-    /// Returns the engine's error rendering on traps or runtime errors.
+    /// The engine's error rendering on traps or runtime errors.
     pub fn run_slice(&mut self, max_steps: u64) -> Result<RunOutcome, String> {
-        match self {
-            Guest::Lua(vm) => vm.run_slice(max_steps).map_err(|e| e.to_string()),
-            Guest::Js(vm) => vm.run_slice(max_steps).map_err(|e| e.to_string()),
-            Guest::Wasm(vm) => vm.run_slice(max_steps).map_err(|e| e.to_string()),
-        }
+        with_vm!(self, vm => vm.run_slice(max_steps)).map_err(|e| e.to_string())
     }
 
     /// Whether the guest program has halted.
     pub fn is_halted(&self) -> bool {
-        match self {
-            Guest::Lua(vm) => vm.is_halted(),
-            Guest::Js(vm) => vm.is_halted(),
-            Guest::Wasm(vm) => vm.is_halted(),
-        }
+        with_vm!(self, vm => vm.is_halted())
     }
 
     /// Everything the guest has printed so far.
     pub fn output(&self) -> String {
-        match self {
-            Guest::Lua(vm) => vm.report_now().output,
-            Guest::Js(vm) => vm.report_now().output,
-            Guest::Wasm(vm) => vm.report_now().output,
-        }
+        with_vm!(self, vm => vm.report_now().output)
     }
 
     /// The simulated core.
     pub fn cpu(&self) -> &Cpu {
-        match self {
-            Guest::Lua(vm) => vm.cpu(),
-            Guest::Js(vm) => vm.cpu(),
-            Guest::Wasm(vm) => vm.cpu(),
-        }
+        with_vm!(self, vm => vm.cpu())
     }
 
     /// The simulated core, mutably.
     pub fn cpu_mut(&mut self) -> &mut Cpu {
-        match self {
-            Guest::Lua(vm) => vm.cpu_mut(),
-            Guest::Js(vm) => vm.cpu_mut(),
-            Guest::Wasm(vm) => vm.cpu_mut(),
-        }
+        with_vm!(self, vm => vm.cpu_mut())
+    }
+
+    /// The guest's assembled interpreter image.
+    pub fn program(&self) -> &Program {
+        with_vm!(self, vm => &vm.image().program)
     }
 }
 
-/// Builds a ready-to-run guest without freezing (the full-construction
-/// path a [`Template`] amortizes away).
+/// Builds a ready-to-run guest of `engine` from MiniScript source,
+/// without freezing (the full-construction path a [`Template`]
+/// amortizes away).
 ///
 /// # Errors
 ///
-/// Returns the engine's parse/compile/codegen error rendering.
+/// [`EngineError`] on parse, compile or codegen failure.
 pub fn build_guest(
     engine: EngineKind,
     source: &str,
     level: IsaLevel,
     core: CoreConfig,
-) -> Result<Guest, String> {
-    match engine {
-        EngineKind::Lua => {
-            let chunk = miniscript::parse(source).map_err(|e| e.to_string())?;
-            let module = luart::compile(&chunk).map_err(|e| e.to_string())?;
-            let vm = LuaVm::new(&module, level, core).map_err(|e| e.to_string())?;
-            Ok(Guest::Lua(Box::new(vm)))
-        }
-        EngineKind::Js => {
-            let vm = JsVm::from_source(source, level, core).map_err(|e| e.to_string())?;
-            Ok(Guest::Js(Box::new(vm)))
-        }
-        EngineKind::Wasm => {
-            let vm = WasmVm::from_source(source, level, core).map_err(|e| e.to_string())?;
-            Ok(Guest::Wasm(Box::new(vm)))
-        }
-    }
+) -> Result<Guest, EngineError> {
+    Ok(match engine {
+        EngineKind::Lua => Guest::Lua(Box::new(LuaVm::from_source(source, level, core)?)),
+        EngineKind::Js => Guest::Js(Box::new(JsVm::from_source(source, level, core)?)),
+        EngineKind::Wasm => Guest::Wasm(Box::new(WasmVm::from_source(source, level, core)?)),
+    })
 }
 
 /// A fully constructed, frozen guest image that tenants are cloned from.
@@ -131,14 +142,14 @@ impl Template {
     ///
     /// # Errors
     ///
-    /// Same as [`build_guest`].
+    /// The rendering of [`build_guest`]'s error.
     pub fn build(
         engine: EngineKind,
         source: &str,
         level: IsaLevel,
         core: CoreConfig,
     ) -> Result<Template, String> {
-        let mut guest = build_guest(engine, source, level, core)?;
+        let mut guest = build_guest(engine, source, level, core).map_err(|e| e.to_string())?;
         guest.cpu_mut().freeze_memory();
         Ok(Template { guest })
     }
@@ -200,7 +211,7 @@ pub fn measure_costs(
     for _ in 0..iters {
         // Keep the whole pipeline observable so the optimizer cannot
         // elide construction work.
-        let guest = build_guest(engine, source, level, core.clone())?;
+        let guest = build_guest(engine, source, level, core.clone()).map_err(|e| e.to_string())?;
         std::hint::black_box(&guest);
     }
     let construct_nanos = (t0.elapsed().as_nanos() / u128::from(iters)) as u64;

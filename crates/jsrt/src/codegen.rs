@@ -25,11 +25,12 @@
 use crate::bytecode::{Const, Module, Op};
 use crate::helpers_mod as helpers;
 use crate::layout::{self, callinfo, funcinfo, map, object, tag};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, Object, Program, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label, Object, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
+use tarch_sim::heap::Interner;
+use tarch_sim::Image;
 
 /// VM pc.
 const PC: Reg = Reg::S0;
@@ -57,27 +58,12 @@ fn box_prefix17(t: u8) -> i64 {
     ((0x1fffu64 << 4) | t as u64) as i64
 }
 
-/// A built jsrt image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsImage {
-    /// Assembled program.
-    pub program: Program,
-    /// Handler entry pcs.
-    pub handler_entries: Vec<(Op, u64)>,
-    /// Dispatch loop pc.
-    pub dispatch_pc: u64,
-    /// Interned strings.
-    pub strings: Vec<String>,
-    /// ISA level.
-    pub level: IsaLevel,
-}
-
 /// Generates the interpreter image.
 ///
 /// # Errors
 ///
 /// Returns [`AsmError`] on assembly failure (codegen bug).
-pub fn build_image(module: &Module, level: IsaLevel) -> Result<JsImage, AsmError> {
+pub fn build_image(module: &Module, level: IsaLevel) -> Result<Image<Op>, AsmError> {
     let main = &module.protos[module.main];
     let sp_top = map::STACK_BASE + main.nlocals as u64 * 8;
     let interp = interpreter(level, ProgramBuilder::li_len(sp_top as i64))?;
@@ -125,11 +111,11 @@ pub fn build_image(module: &Module, level: IsaLevel) -> Result<JsImage, AsmError
             l.dword(dword);
         }
     }
-    Ok(JsImage {
+    Ok(Image {
         program: l.finish()?,
         handler_entries: interp.handler_entries.clone(),
         dispatch_pc: interp.dispatch_pc,
-        strings: strings.strings,
+        strings: strings.into_strings(),
         level,
     })
 }
@@ -159,26 +145,6 @@ fn interpreter(level: IsaLevel, sp_words: usize) -> Result<&'static Interp, AsmE
         .get_or_init(|| Gen::new(level, sp_words).assemble())
         .as_ref()
         .map_err(Clone::clone)
-}
-
-/// String interning in first-use order; the index is the string id used
-/// in value payloads.
-#[derive(Default)]
-struct Interner {
-    strings: Vec<String>,
-    ids: HashMap<String, u32>,
-}
-
-impl Interner {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.ids.insert(s.to_string(), id);
-        id
-    }
 }
 
 struct Gen {
@@ -975,7 +941,7 @@ impl Gen {
         self.b.ld(Reg::T5, object::LEN, hdr);
         self.b.addi(elem, key, -1);
         self.b.bgeu(elem, Reg::T5, slow);
-        self.b.ld(Reg::T5, object::ELEMS_PTR, hdr);
+        self.b.ld(Reg::T5, object::PTR, hdr);
         self.b.slli(elem, elem, 3);
         self.b.add(elem, elem, Reg::T5);
     }
@@ -1046,7 +1012,7 @@ impl Gen {
         self.b.addi(Reg::T5, Reg::T5, 1);
         self.b.sd(Reg::T5, object::LEN, hdr);
         self.b.bind(in_range);
-        self.b.ld(Reg::T5, object::ELEMS_PTR, hdr);
+        self.b.ld(Reg::T5, object::PTR, hdr);
         self.b.slli(elem, elem, 3);
         self.b.add(elem, elem, Reg::T5);
         self.b.j(store);

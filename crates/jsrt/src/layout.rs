@@ -76,18 +76,7 @@ pub const UNDEFINED: u64 = BOX_PREFIX | ((tag::UNDEF as u64) << TAG_SHIFT);
 
 /// Array object header offsets (in the simulated heap; elements are 8-byte
 /// NaN-boxed values).
-pub mod object {
-    /// Address of the dense elements.
-    pub const ELEMS_PTR: i32 = 0;
-    /// Capacity in elements.
-    pub const CAP: i32 = 8;
-    /// Length (dense border).
-    pub const LEN: i32 = 16;
-    /// Host-side property-map id.
-    pub const HASH_ID: i32 = 24;
-    /// Header size.
-    pub const HEADER_SIZE: u64 = 32;
-}
+pub use tarch_sim::layout::header as object;
 
 /// Function-info record offsets (32-byte records).
 pub mod funcinfo {
@@ -115,25 +104,9 @@ pub mod callinfo {
     pub const STRIDE: u64 = 32;
 }
 
-/// Memory map (same skeleton as `luart`, 8-byte value slots).
-pub mod map {
-    /// Interpreter text.
-    pub const TEXT_BASE: u64 = 0x0001_0000;
-    /// Static data.
-    pub const DATA_BASE: u64 = 0x0040_0000;
-    /// Combined locals + operand stack.
-    pub const STACK_BASE: u64 = 0x0100_0000;
-    /// Stack limit.
-    pub const STACK_LIMIT: u64 = 0x017f_0000;
-    /// CallInfo stack.
-    pub const CI_BASE: u64 = 0x0180_0000;
-    /// CallInfo limit.
-    pub const CI_LIMIT: u64 = 0x01a0_0000;
-    /// Heap.
-    pub const HEAP_BASE: u64 = 0x0200_0000;
-    /// Heap limit.
-    pub const HEAP_LIMIT: u64 = 0x0800_0000;
-}
+/// Memory map (shared by every engine; here the stack holds combined locals
+/// and operands in 8-byte slots).
+pub use tarch_sim::layout::map;
 
 /// SPR settings per paper Table 4 (SpiderMonkey column): NaN detection on,
 /// shift 47, mask 0x0f — plus overflow detection (Section 7.1: a

@@ -38,13 +38,63 @@
 mod bytecode;
 mod codegen;
 mod compiler;
-mod engine;
 pub mod helpers_mod;
 pub mod layout;
 mod runtime;
 
 pub use bytecode::{Bc, Builtin, Const, Module, Op, Proto};
-pub use codegen::{build_image, JsImage};
+pub use codegen::build_image;
 pub use compiler::{compile, CompileError};
-pub use engine::{run_source, EngineError, JsVm, OpProfile, RunReport};
+pub use tarch_sim::EngineError;
+
+/// The `jsrt` engine, as driven by [`tarch_sim::Vm`].
+#[derive(Debug, Clone, Copy)]
+pub struct Js;
+
+impl tarch_sim::private::EngineImpl for Js {
+    type Op = Op;
+    type Module = Module;
+    type Host = JsHost;
+    type CompileError = CompileError;
+
+    fn compile(chunk: &miniscript::Chunk) -> Result<Module, CompileError> {
+        compile(chunk)
+    }
+
+    fn build_image(
+        module: &Module,
+        level: tarch_core::IsaLevel,
+    ) -> Result<JsImage, tarch_isa::asm::AsmError> {
+        build_image(module, level)
+    }
+
+    fn host(strings: Vec<String>) -> JsHost {
+        JsHost::new(strings)
+    }
+
+    fn output(host: &JsHost) -> &str {
+        host.output()
+    }
+}
+
+/// A ready-to-run `jsrt` engine instance.
+///
+/// # Examples
+///
+/// ```
+/// use jsrt::JsVm;
+/// use tarch_core::{CoreConfig, IsaLevel};
+///
+/// let mut vm = JsVm::from_source("print(40 + 2)", IsaLevel::Typed, CoreConfig::paper())?;
+/// let report = vm.run(10_000_000)?;
+/// assert_eq!(report.output, "42\n");
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub type JsVm = tarch_sim::Vm<Js>;
+/// A built `jsrt` image.
+pub type JsImage = tarch_sim::Image<Op>;
+/// Results of one `jsrt` run.
+pub type RunReport = tarch_sim::RunReport<Op>;
+/// Per-opcode attribution of one `jsrt` run.
+pub type OpProfile = tarch_sim::OpProfile<Op>;
 pub use runtime::JsHost;

@@ -9,19 +9,13 @@
 
 use crate::bytecode::{Builtin, Op};
 use crate::helpers_mod as helpers;
-use crate::layout::{self, map, object, tag};
+use crate::layout::{self, tag};
 use miniscript::{float_floor_mod, format_float, int_floor_div, int_floor_mod, string_sub};
 use std::collections::HashMap;
 use tarch_core::{canonical_f64_bits, Cpu};
 use tarch_isa::Reg;
+use tarch_sim::heap::{HKey, Heap, Word};
 use tarch_sim::{Cost, HostError, NativeHost};
-
-/// Hash-part key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum HKey {
-    Int(i64),
-    Str(u32),
-}
 
 /// Decoded host view of a NaN-boxed value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,59 +31,22 @@ enum Hv {
 /// The native host for the `jsrt` engine.
 #[derive(Debug, Clone)]
 pub struct JsHost {
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
-    hash_parts: Vec<HashMap<HKey, u64>>,
+    heap: JsHeap,
     globals: HashMap<u32, u64>,
-    output: String,
-    heap_ptr: u64,
 }
+
+/// Array slots are NaN-boxed words; absent elements read as undefined.
+type JsHeap = Heap<Word<{ layout::UNDEFINED }>>;
 
 impl JsHost {
     /// Creates a host pre-loaded with the image's interned strings.
     pub fn new(strings: Vec<String>) -> JsHost {
-        let string_ids =
-            strings.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        JsHost {
-            strings,
-            string_ids,
-            hash_parts: Vec::new(),
-            globals: HashMap::new(),
-            output: String::new(),
-            heap_ptr: map::HEAP_BASE,
-        }
+        JsHost { heap: Heap::new(strings), globals: HashMap::new() }
     }
 
     /// Everything the program printed.
     pub fn output(&self) -> &str {
-        &self.output
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
-    }
-
-    fn string(&self, id: u32) -> Result<&str, HostError> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| HostError::new(0, format!("bad string id {id}")))
-    }
-
-    fn alloc(&mut self, bytes: u64) -> Result<u64, HostError> {
-        let addr = (self.heap_ptr + 15) & !15;
-        let end = addr + bytes;
-        if end > map::HEAP_LIMIT {
-            return Err(HostError::new(0, "heap exhausted (GC is disabled)"));
-        }
-        self.heap_ptr = end;
-        Ok(addr)
+        self.heap.output()
     }
 
     fn decode(value: u64) -> Hv {
@@ -150,7 +107,7 @@ impl JsHost {
             Hv::Bool(b) => b.to_string(),
             Hv::Int(i) => i.to_string(),
             Hv::Double(f) => format_float(f),
-            Hv::Str(id) => self.string(id)?.to_string(),
+            Hv::Str(id) => self.heap.string(id)?.to_string(),
             Hv::Object(_) => "table".to_string(),
         })
     }
@@ -160,7 +117,7 @@ impl JsHost {
             Hv::Int(i) => Ok((i as f64, false)),
             Hv::Double(f) => Ok((f, false)),
             Hv::Str(id) => {
-                let s = self.string(id)?;
+                let s = self.heap.string(id)?;
                 s.trim()
                     .parse::<f64>()
                     .map(|f| (f, true))
@@ -194,107 +151,6 @@ impl JsHost {
         }
     }
 
-    fn elem_get(&self, cpu: &Cpu, hdr: u64, key: HKey) -> Result<u64, HostError> {
-        if let HKey::Int(i) = key {
-            let len = cpu.mem().read_u64(hdr + object::LEN as u64) as i64;
-            if i >= 1 && i <= len {
-                let elems = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-                return Ok(Self::read(cpu, elems + (i as u64 - 1) * 8));
-            }
-        }
-        let hash_id = cpu.mem().read_u64(hdr + object::HASH_ID as u64) as usize;
-        let part = self
-            .hash_parts
-            .get(hash_id)
-            .ok_or_else(|| HostError::new(0, "corrupt object header"))?;
-        Ok(part.get(&key).copied().unwrap_or(layout::UNDEFINED))
-    }
-
-    fn elem_set(
-        &mut self,
-        cpu: &mut Cpu,
-        hdr: u64,
-        key: HKey,
-        value: u64,
-    ) -> Result<Cost, HostError> {
-        let mut extra = Cost::default();
-        if let HKey::Int(i) = key {
-            let len = cpu.mem().read_u64(hdr + object::LEN as u64) as i64;
-            let cap = cpu.mem().read_u64(hdr + object::CAP as u64) as i64;
-            if i >= 1 && i <= len {
-                let elems = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-                Self::write(cpu, elems + (i as u64 - 1) * 8, value);
-                return Ok(extra);
-            }
-            if i == len + 1 {
-                if len == cap {
-                    extra = extra.plus(self.grow(cpu, hdr)?);
-                }
-                let elems = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-                Self::write(cpu, elems + len as u64 * 8, value);
-                cpu.host_store_u64(hdr + object::LEN as u64, len as u64 + 1);
-                extra = extra.plus(self.absorb(cpu, hdr)?);
-                return Ok(extra);
-            }
-        }
-        let hash_id = cpu.mem().read_u64(hdr + object::HASH_ID as u64) as usize;
-        let part = self
-            .hash_parts
-            .get_mut(hash_id)
-            .ok_or_else(|| HostError::new(0, "corrupt object header"))?;
-        if value == layout::UNDEFINED {
-            part.remove(&key);
-        } else {
-            part.insert(key, value);
-        }
-        Ok(extra)
-    }
-
-    fn grow(&mut self, cpu: &mut Cpu, hdr: u64) -> Result<Cost, HostError> {
-        let cap = cpu.mem().read_u64(hdr + object::CAP as u64);
-        let len = cpu.mem().read_u64(hdr + object::LEN as u64);
-        let new_cap = (cap * 2).max(4);
-        let new_elems = self.alloc(new_cap * 8)?;
-        let old = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-        for i in 0..len {
-            let v = Self::read(cpu, old + i * 8);
-            Self::write(cpu, new_elems + i * 8, v);
-        }
-        cpu.host_store_u64(hdr + object::ELEMS_PTR as u64, new_elems);
-        cpu.host_store_u64(hdr + object::CAP as u64, new_cap);
-        Ok(Cost::affine(50, 3, len))
-    }
-
-    fn absorb(&mut self, cpu: &mut Cpu, hdr: u64) -> Result<Cost, HostError> {
-        let hash_id = cpu.mem().read_u64(hdr + object::HASH_ID as u64) as usize;
-        let mut moved = 0;
-        loop {
-            let len = cpu.mem().read_u64(hdr + object::LEN as u64);
-            let Some(part) = self.hash_parts.get_mut(hash_id) else { break };
-            let Some(v) = part.remove(&HKey::Int(len as i64 + 1)) else { break };
-            let cap = cpu.mem().read_u64(hdr + object::CAP as u64);
-            if len == cap {
-                self.grow(cpu, hdr)?;
-            }
-            let elems = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-            Self::write(cpu, elems + len * 8, v);
-            cpu.host_store_u64(hdr + object::LEN as u64, len + 1);
-            moved += 1;
-        }
-        Ok(Cost::affine(0, 8, moved))
-    }
-
-    fn new_array(&mut self, cpu: &mut Cpu, capacity: u64) -> Result<u64, HostError> {
-        let hdr = self.alloc(object::HEADER_SIZE + capacity * 8)?;
-        let elems = hdr + object::HEADER_SIZE;
-        cpu.host_store_u64(hdr + object::ELEMS_PTR as u64, elems);
-        cpu.host_store_u64(hdr + object::CAP as u64, capacity);
-        cpu.host_store_u64(hdr + object::LEN as u64, 0);
-        cpu.host_store_u64(hdr + object::HASH_ID as u64, self.hash_parts.len() as u64);
-        self.hash_parts.push(HashMap::new());
-        Ok(hdr)
-    }
-
     // --- services -------------------------------------------------------
 
     fn arith_slow(&mut self, cpu: &mut Cpu) -> Result<Cost, HostError> {
@@ -317,7 +173,7 @@ impl JsHost {
             };
             let s = format!("{}{}", part(self, lhs)?, part(self, rhs)?);
             let bytes = s.len() as u64;
-            let id = self.intern(&s);
+            let id = self.heap.intern(&s);
             Self::write(cpu, dst, Self::encode(Hv::Str(id)));
             return Ok(Cost::affine(60, 2, bytes));
         }
@@ -386,7 +242,7 @@ impl JsHost {
             Op::Lt | Op::Le => {
                 let ord = match (lhs, rhs) {
                     (Hv::Str(x), Hv::Str(y)) => {
-                        let (sx, sy) = (self.string(x)?, self.string(y)?);
+                        let (sx, sy) = (self.heap.string(x)?, self.heap.string(y)?);
                         cost = cost.plus(Cost::affine(0, 2, sx.len().min(sy.len()) as u64));
                         sx.cmp(sy)
                     }
@@ -421,10 +277,10 @@ impl JsHost {
         };
         let key = self.elem_key(key)?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(50, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(50, 6, self.heap.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(60),
         };
-        let v = self.elem_get(cpu, hdr, key)?;
+        let v = self.heap.get(cpu, hdr, key)?;
         Self::write(cpu, dst, v);
         Ok(cost)
     }
@@ -441,10 +297,10 @@ impl JsHost {
         };
         let key = self.elem_key(key)?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(70, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(70, 6, self.heap.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(80),
         };
-        let extra = self.elem_set(cpu, hdr, key, value)?;
+        let extra = self.heap.set(cpu, hdr, key, value)?;
         Ok(cost.plus(extra))
     }
 
@@ -481,7 +337,7 @@ impl JsHost {
                 }
                 cost = Cost::affine(60, 3, line.len() as u64)
                     .plus(Cost::affine(0, 25, args.len() as u64));
-                self.output.push_str(&line);
+                self.heap.print(&line);
                 Hv::Undef
             }
             Builtin::Clock => {
@@ -522,7 +378,7 @@ impl JsHost {
             }
             Builtin::Sub => {
                 let Hv::Str(id) = arg(0) else { return Err(err("sub on a non-string".into())) };
-                let s = self.string(id)?.to_string();
+                let s = self.heap.string(id)?.to_string();
                 let i = as_int(arg(1))?;
                 let j = match arg(2) {
                     Hv::Undef => -1,
@@ -530,14 +386,14 @@ impl JsHost {
                 };
                 let out = string_sub(&s, i, j);
                 cost = Cost::affine(40, 2, out.len() as u64);
-                Hv::Str(self.intern(&out))
+                Hv::Str(self.heap.intern(&out))
             }
             Builtin::Len => {
                 cost = Cost::fixed(15);
                 match arg(0) {
-                    Hv::Str(id) => Hv::Int(self.string(id)?.len() as i64),
+                    Hv::Str(id) => Hv::Int(self.heap.string(id)?.len() as i64),
                     Hv::Object(hdr) => {
-                        Hv::Int(cpu.mem().read_u64(hdr + object::LEN as u64) as i64)
+                        Hv::Int(JsHeap::array_len(cpu, hdr) as i64)
                     }
                     other => return Err(err(format!("len on {}", Self::type_name(other)))),
                 }
@@ -546,7 +402,7 @@ impl JsHost {
                 cost = Cost::fixed(20);
                 let v = as_int(arg(0))?;
                 let b = u8::try_from(v).map_err(|_| err(format!("char: {v} out of range")))?;
-                Hv::Str(self.intern(&(b as char).to_string()))
+                Hv::Str(self.heap.intern(&(b as char).to_string()))
             }
             Builtin::Byte => {
                 cost = Cost::fixed(20);
@@ -555,7 +411,7 @@ impl JsHost {
                     Hv::Undef => 1,
                     v => as_int(v)?,
                 };
-                let s = self.string(id)?;
+                let s = self.heap.string(id)?;
                 match s.as_bytes().get((i - 1).max(0) as usize) {
                     Some(b) if i >= 1 => Hv::Int(*b as i64),
                     _ => Hv::Undef,
@@ -566,16 +422,16 @@ impl JsHost {
                 let Hv::Object(hdr) = arg(0) else {
                     return Err(err("insert on a non-table".into()));
                 };
-                let len = cpu.mem().read_u64(hdr + object::LEN as u64) as i64;
+                let len = JsHeap::array_len(cpu, hdr) as i64;
                 let value = Self::read(cpu, base + 8);
-                let extra = self.elem_set(cpu, hdr, HKey::Int(len + 1), value)?;
+                let extra = self.heap.set(cpu, hdr, HKey::Int(len + 1), value)?;
                 cost = cost.plus(extra);
                 Hv::Undef
             }
             Builtin::Tostring => {
                 let s = self.format(arg(0))?;
                 cost = Cost::affine(60, 2, s.len() as u64);
-                Hv::Str(self.intern(&s))
+                Hv::Str(self.heap.intern(&s))
             }
         };
         Self::write(cpu, base, Self::encode(result));
@@ -587,7 +443,7 @@ impl JsHost {
         let v = Self::decode(Self::read(cpu, cpu.regs().read(Reg::A2).v));
         match v {
             Hv::Str(id) => {
-                let len = self.string(id)?.len() as i64;
+                let len = self.heap.string(id)?.len() as i64;
                 Self::write(cpu, dst, Self::encode(Hv::Int(len)));
                 Ok(Cost::fixed(15))
             }
@@ -618,7 +474,7 @@ impl NativeHost for JsHost {
             helpers::NEWARR => {
                 let dst = cpu.regs().read(Reg::A1).v;
                 let hint = cpu.regs().read(Reg::A2).v;
-                let hdr = self.new_array(cpu, hint)?;
+                let hdr = self.heap.new_table(cpu, hint)?;
                 Self::write(cpu, dst, Self::encode(Hv::Object(hdr)));
                 Cost::affine(60, 1, hint)
             }
@@ -641,13 +497,7 @@ impl NativeHost for JsHost {
             helpers::LEN_SLOW => self.len_slow(cpu)?,
             helpers::NEG_SLOW => self.neg_slow(cpu)?,
             helpers::ERROR => {
-                let code = cpu.regs().read(Reg::A0).v;
-                let msg = match code {
-                    helpers::errcode::STACK_OVERFLOW => "stack overflow",
-                    helpers::errcode::DIV_BY_ZERO => "integer division by zero",
-                    _ => "runtime error",
-                };
-                return Err(HostError::new(helpers::ERROR, msg));
+                return Err(HostError::runtime(helpers::ERROR, cpu.regs().read(Reg::A0).v))
             }
             other => return Err(HostError::new(other, "unknown helper id")),
         };

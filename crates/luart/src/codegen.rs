@@ -29,11 +29,12 @@ use crate::bytecode::{Const, Module, Op};
 use crate::helpers;
 use crate::layout::{callinfo, funcinfo, map, table, tag, TAG_OFFSET};
 use crate::layout;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, Object, Program, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label, Object, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
+use tarch_sim::heap::Interner;
+use tarch_sim::Image;
 
 // Register conventions of the generated interpreter.
 /// VM program counter (byte address of the next bytecode).
@@ -59,29 +60,13 @@ const RB: Reg = Reg::S8;
 const RC: Reg = Reg::S9;
 const RA: Reg = Reg::S10;
 
-/// A built engine image: program plus the metadata the runtime and the
-/// experiment harness need.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LuaImage {
-    /// The assembled program.
-    pub program: Program,
-    /// Handler entry pcs, one per opcode, sorted by address.
-    pub handler_entries: Vec<(Op, u64)>,
-    /// Entry pc of the dispatch loop.
-    pub dispatch_pc: u64,
-    /// Interned strings; index is the string id used in value payloads.
-    pub strings: Vec<String>,
-    /// The ISA level the image was generated for.
-    pub level: IsaLevel,
-}
-
 /// Generates the interpreter + program image for a compiled module.
 ///
 /// # Errors
 ///
 /// Returns [`AsmError`] if the emitted program fails to assemble (it only
 /// can if a handler outgrows branch range, which would be a codegen bug).
-pub fn build_image(module: &Module, level: IsaLevel) -> Result<LuaImage, AsmError> {
+pub fn build_image(module: &Module, level: IsaLevel) -> Result<Image<Op>, AsmError> {
     let interp = interpreter(level)?;
     let mut l = interp.object.linker();
     let mut strings = Interner::default();
@@ -126,11 +111,11 @@ pub fn build_image(module: &Module, level: IsaLevel) -> Result<LuaImage, AsmErro
             l.dword(t as u64);
         }
     }
-    Ok(LuaImage {
+    Ok(Image {
         program: l.finish()?,
         handler_entries: interp.handler_entries.clone(),
         dispatch_pc: interp.dispatch_pc,
-        strings: strings.strings,
+        strings: strings.into_strings(),
         level,
     })
 }
@@ -151,26 +136,6 @@ struct Interp {
 fn interpreter(level: IsaLevel) -> Result<&'static Interp, AsmError> {
     static TEXT: [OnceLock<Result<Interp, AsmError>>; 3] = [const { OnceLock::new() }; 3];
     TEXT[level as usize].get_or_init(|| Gen::new(level).assemble()).as_ref().map_err(Clone::clone)
-}
-
-/// String interning in first-use order; the index is the string id used
-/// in value payloads.
-#[derive(Default)]
-struct Interner {
-    strings: Vec<String>,
-    ids: HashMap<String, u32>,
-}
-
-impl Interner {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.ids.insert(s.to_string(), id);
-        id
-    }
 }
 
 struct Gen {
@@ -594,7 +559,7 @@ impl Gen {
         self.b.li(Reg::T2, tag::TABLE as i64);
         self.b.bne(Reg::T1, Reg::T2, slow);
         self.b.ld(Reg::T3, 0, RB);
-        self.b.ld(Reg::T4, table::ARR_LEN, Reg::T3);
+        self.b.ld(Reg::T4, table::LEN, Reg::T3);
         self.b.sd(Reg::T4, 0, RA);
         self.b.li(Reg::T2, tag::INT as i64);
         self.b.sb(Reg::T2, TAG_OFFSET, RA);
@@ -997,10 +962,10 @@ impl Gen {
     /// `elem_addr = arr_ptr + (key-1)*16`, bounds-checked against the
     /// array border (`hdr` = header address, `key` = integer key).
     fn emit_array_index(&mut self, hdr: Reg, key: Reg, elem_addr: Reg, slow: Label) {
-        self.b.ld(Reg::T2, table::ARR_LEN, hdr);
+        self.b.ld(Reg::T2, table::LEN, hdr);
         self.b.addi(elem_addr, key, -1);
         self.b.bgeu(elem_addr, Reg::T2, slow); // unsigned: catches key < 1 too
-        self.b.ld(Reg::T2, table::ARR_PTR, hdr);
+        self.b.ld(Reg::T2, table::PTR, hdr);
         self.b.slli(elem_addr, elem_addr, 4);
         self.b.add(elem_addr, elem_addr, Reg::T2);
     }
@@ -1069,17 +1034,17 @@ impl Gen {
     /// address. `hdr`/`key` must be T4/T5-compatible scratch.
     fn emit_settable_bounds(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label, store: Label) {
         let in_range = self.b.new_label("st_in_range");
-        self.b.ld(Reg::T2, table::ARR_LEN, hdr);
+        self.b.ld(Reg::T2, table::LEN, hdr);
         self.b.addi(elem, key, -1);
         self.b.bltu(elem, Reg::T2, in_range);
         // Append? key-1 == len and len < cap.
         self.b.bne(elem, Reg::T2, slow);
-        self.b.ld(Reg::T3, table::ARR_CAP, hdr);
+        self.b.ld(Reg::T3, table::CAP, hdr);
         self.b.bgeu(Reg::T2, Reg::T3, slow);
         self.b.addi(Reg::T2, Reg::T2, 1);
-        self.b.sd(Reg::T2, table::ARR_LEN, hdr);
+        self.b.sd(Reg::T2, table::LEN, hdr);
         self.b.bind(in_range);
-        self.b.ld(Reg::T2, table::ARR_PTR, hdr);
+        self.b.ld(Reg::T2, table::PTR, hdr);
         self.b.slli(elem, elem, 4);
         self.b.add(elem, elem, Reg::T2);
         self.b.j(store);

@@ -32,18 +32,7 @@ pub const TVALUE_SIZE: u64 = 16;
 pub const TAG_OFFSET: i32 = 8;
 
 /// Table header field offsets (32-byte header in the simulated heap).
-pub mod table {
-    /// Address of the array part (TValues).
-    pub const ARR_PTR: i32 = 0;
-    /// Array part capacity, in elements.
-    pub const ARR_CAP: i32 = 8;
-    /// Array part length (`#t` border), in elements.
-    pub const ARR_LEN: i32 = 16;
-    /// Host-side hash-part id.
-    pub const HASH_ID: i32 = 24;
-    /// Header size in bytes.
-    pub const HEADER_SIZE: u64 = 32;
-}
+pub use tarch_sim::layout::header as table;
 
 /// Function-info record offsets (32-byte records in the data section).
 pub mod funcinfo {
@@ -69,25 +58,9 @@ pub mod callinfo {
     pub const STRIDE: u64 = 32;
 }
 
-/// Memory map of the engine inside the simulated machine.
-pub mod map {
-    /// Interpreter text.
-    pub const TEXT_BASE: u64 = 0x0001_0000;
-    /// Static data: dispatch table, function table, bytecode, constants.
-    pub const DATA_BASE: u64 = 0x0040_0000;
-    /// VM value stack (TValue frames).
-    pub const STACK_BASE: u64 = 0x0100_0000;
-    /// Value-stack overflow limit.
-    pub const STACK_LIMIT: u64 = 0x017f_0000;
-    /// CallInfo stack.
-    pub const CI_BASE: u64 = 0x0180_0000;
-    /// CallInfo overflow limit.
-    pub const CI_LIMIT: u64 = 0x01a0_0000;
-    /// Bump-allocated heap (GC is off, as in the paper's Lua runs).
-    pub const HEAP_BASE: u64 = 0x0200_0000;
-    /// Heap exhaustion limit.
-    pub const HEAP_LIMIT: u64 = 0x0800_0000;
-}
+/// Memory map of the engine inside the simulated machine (shared by every
+/// engine; here the value stack holds 16-byte TValue frames).
+pub use tarch_sim::layout::map;
 
 /// The special-purpose register settings for this layout (paper Table 4,
 /// Lua column): tag in the next double-word, zero shift, full-byte mask.
@@ -133,16 +106,5 @@ mod tests {
         assert_eq!(s.shift, 0);
         assert_eq!(s.mask, 0xff);
         assert!(!s.nan_detect());
-    }
-
-    #[test]
-    fn memory_regions_do_not_overlap() {
-        use map::*;
-        let regions =
-            [(TEXT_BASE, DATA_BASE), (DATA_BASE, STACK_BASE), (STACK_BASE, STACK_LIMIT),
-             (CI_BASE, CI_LIMIT), (HEAP_BASE, HEAP_LIMIT)];
-        for w in regions.windows(2) {
-            assert!(w[0].1 <= w[1].0, "{w:?}");
-        }
     }
 }

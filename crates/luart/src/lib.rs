@@ -48,15 +48,66 @@
 mod bytecode;
 mod codegen;
 mod compiler;
-mod engine;
 pub mod helpers;
 mod hostvm;
 pub mod layout;
 mod runtime;
 
 pub use bytecode::{Bc, Builtin, Const, Module, Op, Proto, RK_CONST};
-pub use codegen::{build_image, LuaImage};
+pub use codegen::build_image;
 pub use compiler::{compile, CompileError};
-pub use engine::{run_source, EngineError, LuaVm, OpProfile, RunReport};
+pub use tarch_sim::EngineError;
+
+/// The `luart` engine, as driven by [`tarch_sim::Vm`].
+#[derive(Debug, Clone, Copy)]
+pub struct Lua;
+
+impl tarch_sim::private::EngineImpl for Lua {
+    type Op = Op;
+    type Module = Module;
+    type Host = LuaHost;
+    type CompileError = CompileError;
+
+    fn compile(chunk: &miniscript::Chunk) -> Result<Module, CompileError> {
+        compile(chunk)
+    }
+
+    fn build_image(
+        module: &Module,
+        level: tarch_core::IsaLevel,
+    ) -> Result<LuaImage, tarch_isa::asm::AsmError> {
+        build_image(module, level)
+    }
+
+    fn host(strings: Vec<String>) -> LuaHost {
+        LuaHost::new(strings)
+    }
+
+    fn output(host: &LuaHost) -> &str {
+        host.output()
+    }
+}
+
+/// A ready-to-run `luart` engine instance.
+///
+/// # Examples
+///
+/// ```
+/// use luart::LuaVm;
+/// use tarch_core::{CoreConfig, IsaLevel};
+///
+/// let mut vm = LuaVm::from_source("print(2 + 40)", IsaLevel::Typed, CoreConfig::paper())?;
+/// let report = vm.run(10_000_000)?;
+/// assert_eq!(report.output, "42\n");
+/// assert!(report.counters.type_hits > 0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub type LuaVm = tarch_sim::Vm<Lua>;
+/// A built `luart` image.
+pub type LuaImage = tarch_sim::Image<Op>;
+/// Results of one `luart` run.
+pub type RunReport = tarch_sim::RunReport<Op>;
+/// Per-opcode attribution of one `luart` run.
+pub type OpProfile = tarch_sim::OpProfile<Op>;
 pub use hostvm::{host_run, host_run_counted, VmError};
 pub use runtime::LuaHost;

@@ -22,11 +22,12 @@
 
 use crate::bytecode::{Builtin, Op};
 use crate::helpers;
-use crate::layout::{map, table, tag, TAG_OFFSET, TVALUE_SIZE};
+use crate::layout::{tag, TAG_OFFSET, TVALUE_SIZE};
 use miniscript::{float_floor_mod, format_float, int_floor_div, int_floor_mod, string_sub};
 use std::collections::HashMap;
 use tarch_core::Cpu;
 use tarch_isa::Reg;
+use tarch_sim::heap::{HKey, Heap, SlotCodec};
 use tarch_sim::{Cost, HostError, NativeHost};
 
 /// A raw tag-value pair as stored in simulated memory.
@@ -42,12 +43,32 @@ impl RawTv {
     const NIL: RawTv = RawTv { v: 0, t: tag::NIL };
 }
 
-/// Hash-part key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum HKey {
-    Int(i64),
-    Str(u32),
+/// `luart`'s array slot: a 16-byte tag-value pair, value double-word
+/// first, tag byte at [`TAG_OFFSET`].
+#[derive(Debug, Clone, Copy)]
+struct TvSlot;
+
+impl SlotCodec for TvSlot {
+    type Value = RawTv;
+    const SIZE: u64 = TVALUE_SIZE;
+    const NIL: RawTv = RawTv::NIL;
+
+    fn is_nil(tv: RawTv) -> bool {
+        tv.t == tag::NIL
+    }
+
+    fn load(cpu: &Cpu, addr: u64) -> RawTv {
+        let t = cpu.mem().read_u8(addr.wrapping_add(TAG_OFFSET as u64));
+        RawTv { v: cpu.mem().read_u64(addr), t }
+    }
+
+    fn store(cpu: &mut Cpu, addr: u64, tv: RawTv) {
+        cpu.host_store_u64(addr, tv.v);
+        cpu.host_store_u64(addr.wrapping_add(TAG_OFFSET as u64), tv.t as u64);
+    }
 }
+
+type LuaHeap = Heap<TvSlot>;
 
 /// Decoded host view of a value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,68 +84,19 @@ enum Hv {
 /// The native host for the `luart` engine.
 #[derive(Debug, Clone)]
 pub struct LuaHost {
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
-    hash_parts: Vec<HashMap<HKey, RawTv>>,
+    heap: LuaHeap,
     globals: HashMap<u32, RawTv>,
-    output: String,
-    heap_ptr: u64,
 }
 
 impl LuaHost {
     /// Creates a host pre-loaded with the image's interned strings.
     pub fn new(strings: Vec<String>) -> LuaHost {
-        let string_ids =
-            strings.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        LuaHost {
-            strings,
-            string_ids,
-            hash_parts: Vec::new(),
-            globals: HashMap::new(),
-            output: String::new(),
-            heap_ptr: map::HEAP_BASE,
-        }
+        LuaHost { heap: Heap::new(strings), globals: HashMap::new() }
     }
 
     /// Everything the program printed.
     pub fn output(&self) -> &str {
-        &self.output
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
-    }
-
-    fn string(&self, id: u32) -> Result<&str, HostError> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| HostError::new(0, format!("bad string id {id}")))
-    }
-
-    fn alloc(&mut self, bytes: u64) -> Result<u64, HostError> {
-        let addr = (self.heap_ptr + 15) & !15;
-        let end = addr + bytes;
-        if end > map::HEAP_LIMIT {
-            return Err(HostError::new(0, "heap exhausted (GC is disabled)"));
-        }
-        self.heap_ptr = end;
-        Ok(addr)
-    }
-
-    fn read_tv(cpu: &Cpu, addr: u64) -> RawTv {
-        RawTv { v: cpu.mem().read_u64(addr), t: cpu.mem().read_u8(addr + TAG_OFFSET as u64) }
-    }
-
-    fn write_tv(cpu: &mut Cpu, addr: u64, tv: RawTv) {
-        cpu.host_store_u64(addr, tv.v);
-        cpu.host_store_u64(addr + TAG_OFFSET as u64, tv.t as u64);
+        self.heap.output()
     }
 
     fn decode(&self, tv: RawTv) -> Result<Hv, HostError> {
@@ -166,7 +138,7 @@ impl LuaHost {
             Hv::Bool(b) => b.to_string(),
             Hv::Int(i) => i.to_string(),
             Hv::Float(f) => format_float(f),
-            Hv::Str(id) => self.string(id)?.to_string(),
+            Hv::Str(id) => self.heap.string(id)?.to_string(),
             Hv::Table(_) => "table".to_string(),
         })
     }
@@ -177,7 +149,7 @@ impl LuaHost {
             Hv::Int(i) => Ok((i as f64, false)),
             Hv::Float(f) => Ok((f, false)),
             Hv::Str(id) => {
-                let s = self.string(id)?;
+                let s = self.heap.string(id)?;
                 s.trim()
                     .parse::<f64>()
                     .map(|f| (f, true))
@@ -203,111 +175,6 @@ impl LuaHost {
         }
     }
 
-    fn table_get(&self, cpu: &Cpu, hdr: u64, key: HKey) -> Result<RawTv, HostError> {
-        if let HKey::Int(i) = key {
-            let len = cpu.mem().read_u64(hdr + table::ARR_LEN as u64) as i64;
-            if i >= 1 && i <= len {
-                let arr = cpu.mem().read_u64(hdr + table::ARR_PTR as u64);
-                return Ok(Self::read_tv(cpu, arr + (i as u64 - 1) * TVALUE_SIZE));
-            }
-        }
-        let hash_id = cpu.mem().read_u64(hdr + table::HASH_ID as u64) as usize;
-        let part = self
-            .hash_parts
-            .get(hash_id)
-            .ok_or_else(|| HostError::new(0, "corrupt table header"))?;
-        Ok(part.get(&key).copied().unwrap_or(RawTv::NIL))
-    }
-
-    fn table_set(
-        &mut self,
-        cpu: &mut Cpu,
-        hdr: u64,
-        key: HKey,
-        value: RawTv,
-    ) -> Result<Cost, HostError> {
-        let mut extra = Cost::default();
-        if let HKey::Int(i) = key {
-            let len = cpu.mem().read_u64(hdr + table::ARR_LEN as u64) as i64;
-            let cap = cpu.mem().read_u64(hdr + table::ARR_CAP as u64) as i64;
-            if i >= 1 && i <= len {
-                let arr = cpu.mem().read_u64(hdr + table::ARR_PTR as u64);
-                Self::write_tv(cpu, arr + (i as u64 - 1) * TVALUE_SIZE, value);
-                return Ok(extra);
-            }
-            if i == len + 1 {
-                if len == cap {
-                    extra = extra.plus(self.grow_array(cpu, hdr)?);
-                }
-                let arr = cpu.mem().read_u64(hdr + table::ARR_PTR as u64);
-                Self::write_tv(cpu, arr + len as u64 * TVALUE_SIZE, value);
-                cpu.host_store_u64(hdr + table::ARR_LEN as u64, len as u64 + 1);
-                extra = extra.plus(self.absorb_successors(cpu, hdr)?);
-                return Ok(extra);
-            }
-        }
-        let hash_id = cpu.mem().read_u64(hdr + table::HASH_ID as u64) as usize;
-        let part = self
-            .hash_parts
-            .get_mut(hash_id)
-            .ok_or_else(|| HostError::new(0, "corrupt table header"))?;
-        if value.t == tag::NIL {
-            part.remove(&key);
-        } else {
-            part.insert(key, value);
-        }
-        Ok(extra)
-    }
-
-    /// Doubles the array part (growth charged per element moved).
-    fn grow_array(&mut self, cpu: &mut Cpu, hdr: u64) -> Result<Cost, HostError> {
-        let cap = cpu.mem().read_u64(hdr + table::ARR_CAP as u64);
-        let len = cpu.mem().read_u64(hdr + table::ARR_LEN as u64);
-        let new_cap = (cap * 2).max(4);
-        let new_arr = self.alloc(new_cap * TVALUE_SIZE)?;
-        let old_arr = cpu.mem().read_u64(hdr + table::ARR_PTR as u64);
-        for i in 0..len {
-            let tv = Self::read_tv(cpu, old_arr + i * TVALUE_SIZE);
-            Self::write_tv(cpu, new_arr + i * TVALUE_SIZE, tv);
-        }
-        cpu.host_store_u64(hdr + table::ARR_PTR as u64, new_arr);
-        cpu.host_store_u64(hdr + table::ARR_CAP as u64, new_cap);
-        Ok(Cost::affine(50, 3, len))
-    }
-
-    /// After an append, absorbs consecutive integer keys queued in the hash
-    /// part (keeps the `#t` border semantics of the reference `Table`).
-    fn absorb_successors(&mut self, cpu: &mut Cpu, hdr: u64) -> Result<Cost, HostError> {
-        let hash_id = cpu.mem().read_u64(hdr + table::HASH_ID as u64) as usize;
-        let mut moved = 0;
-        loop {
-            let len = cpu.mem().read_u64(hdr + table::ARR_LEN as u64);
-            let next = len as i64 + 1;
-            let Some(part) = self.hash_parts.get_mut(hash_id) else { break };
-            let Some(tv) = part.remove(&HKey::Int(next)) else { break };
-            let cap = cpu.mem().read_u64(hdr + table::ARR_CAP as u64);
-            if len == cap {
-                self.grow_array(cpu, hdr)?;
-            }
-            let arr = cpu.mem().read_u64(hdr + table::ARR_PTR as u64);
-            Self::write_tv(cpu, arr + len * TVALUE_SIZE, tv);
-            cpu.host_store_u64(hdr + table::ARR_LEN as u64, len + 1);
-            moved += 1;
-        }
-        Ok(Cost::affine(0, 8, moved))
-    }
-
-    fn new_table(&mut self, cpu: &mut Cpu, capacity: u64) -> Result<u64, HostError> {
-        let hdr = self.alloc(table::HEADER_SIZE + capacity * TVALUE_SIZE)?;
-        let arr = hdr + table::HEADER_SIZE;
-        cpu.host_store_u64(hdr + table::ARR_PTR as u64, arr);
-        cpu.host_store_u64(hdr + table::ARR_CAP as u64, capacity);
-        cpu.host_store_u64(hdr + table::ARR_LEN as u64, 0);
-        cpu.host_store_u64(hdr + table::HASH_ID as u64, self.hash_parts.len() as u64);
-        self.hash_parts.push(HashMap::new());
-        Ok(hdr)
-    }
-
     // --- helper services ----------------------------------------------------
 
     fn arith_slow(&mut self, cpu: &mut Cpu) -> Result<Cost, HostError> {
@@ -317,8 +184,8 @@ impl LuaHost {
         let rc = cpu.regs().read(Reg::A3).v;
         let op = Op::from_code(op_code as u8)
             .ok_or_else(|| HostError::new(helpers::ARITH_SLOW, "bad op code"))?;
-        let b = self.decode(Self::read_tv(cpu, rb))?;
-        let c = self.decode(Self::read_tv(cpu, rc))?;
+        let b = self.decode(TvSlot::load(cpu, rb))?;
+        let c = self.decode(TvSlot::load(cpu, rc))?;
 
         if op == Op::Concat {
             let part = |host: &LuaHost, v: Hv| -> Result<String, HostError> {
@@ -332,14 +199,14 @@ impl LuaHost {
             };
             let s = format!("{}{}", part(self, b)?, part(self, c)?);
             let bytes = s.len() as u64;
-            let id = self.intern(&s);
-            Self::write_tv(cpu, ra, Self::encode(Hv::Str(id)));
+            let id = self.heap.intern(&s);
+            TvSlot::store(cpu, ra, Self::encode(Hv::Str(id)));
             return Ok(Cost::affine(60, 2, bytes));
         }
 
         if op == Op::Unm {
             let (n, coerced) = self.to_number(b)?;
-            Self::write_tv(cpu, ra, Self::encode(Hv::Float(-n)));
+            TvSlot::store(cpu, ra, Self::encode(Hv::Float(-n)));
             return Ok(Cost::affine(if coerced { 65 } else { 40 }, 0, 0));
         }
 
@@ -359,7 +226,7 @@ impl LuaHost {
                 }
                 _ => return Err(HostError::new(helpers::ARITH_SLOW, "bad arith op")),
             };
-            Self::write_tv(cpu, ra, Self::encode(r));
+            TvSlot::store(cpu, ra, Self::encode(r));
             return Ok(Cost::fixed(40));
         }
 
@@ -374,7 +241,7 @@ impl LuaHost {
             Op::Mod => float_floor_mod(x, y),
             _ => return Err(HostError::new(helpers::ARITH_SLOW, "bad arith op")),
         };
-        Self::write_tv(cpu, ra, Self::encode(Hv::Float(r)));
+        TvSlot::store(cpu, ra, Self::encode(Hv::Float(r)));
         Ok(Cost::fixed(40 + 25 * (cx as u64 + cy as u64)))
     }
 
@@ -384,8 +251,8 @@ impl LuaHost {
         let rc = cpu.regs().read(Reg::A2).v;
         let op = Op::from_code(op_code as u8)
             .ok_or_else(|| HostError::new(helpers::COMPARE_SLOW, "bad op code"))?;
-        let b = self.decode(Self::read_tv(cpu, rb))?;
-        let c = self.decode(Self::read_tv(cpu, rc))?;
+        let b = self.decode(TvSlot::load(cpu, rb))?;
+        let c = self.decode(TvSlot::load(cpu, rc))?;
         let mut cost = Cost::fixed(30);
         let result = match op {
             Op::CmpEq | Op::CmpNe => {
@@ -404,7 +271,7 @@ impl LuaHost {
             Op::CmpLt | Op::CmpLe => {
                 let ord = match (b, c) {
                     (Hv::Str(x), Hv::Str(y)) => {
-                        let (sx, sy) = (self.string(x)?, self.string(y)?);
+                        let (sx, sy) = (self.heap.string(x)?, self.heap.string(y)?);
                         cost = cost.plus(Cost::affine(0, 2, sx.len().min(sy.len()) as u64));
                         sx.cmp(sy)
                     }
@@ -431,8 +298,8 @@ impl LuaHost {
         let ra = cpu.regs().read(Reg::A1).v;
         let rb = cpu.regs().read(Reg::A2).v;
         let rc = cpu.regs().read(Reg::A3).v;
-        let t = self.decode(Self::read_tv(cpu, rb))?;
-        let k = self.decode(Self::read_tv(cpu, rc))?;
+        let t = self.decode(TvSlot::load(cpu, rb))?;
+        let k = self.decode(TvSlot::load(cpu, rc))?;
         let Hv::Table(hdr) = t else {
             return Err(HostError::new(
                 helpers::GETTABLE_SLOW,
@@ -441,11 +308,11 @@ impl LuaHost {
         };
         let key = self.table_key(k)?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(50, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(50, 6, self.heap.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(60),
         };
-        let tv = self.table_get(cpu, hdr, key)?;
-        Self::write_tv(cpu, ra, tv);
+        let tv = self.heap.get(cpu, hdr, key)?;
+        TvSlot::store(cpu, ra, tv);
         Ok(cost)
     }
 
@@ -453,8 +320,8 @@ impl LuaHost {
         let ra = cpu.regs().read(Reg::A1).v;
         let rb = cpu.regs().read(Reg::A2).v;
         let rc = cpu.regs().read(Reg::A3).v;
-        let t = self.decode(Self::read_tv(cpu, ra))?;
-        let k = self.decode(Self::read_tv(cpu, rb))?;
+        let t = self.decode(TvSlot::load(cpu, ra))?;
+        let k = self.decode(TvSlot::load(cpu, rb))?;
         let Hv::Table(hdr) = t else {
             return Err(HostError::new(
                 helpers::SETTABLE_SLOW,
@@ -463,11 +330,11 @@ impl LuaHost {
         };
         let key = self.table_key(k)?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(70, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(70, 6, self.heap.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(80),
         };
-        let value = Self::read_tv(cpu, rc);
-        let extra = self.table_set(cpu, hdr, key, value)?;
+        let value = TvSlot::load(cpu, rc);
+        let extra = self.heap.set(cpu, hdr, key, value)?;
         Ok(cost.plus(extra))
     }
 
@@ -480,7 +347,7 @@ impl LuaHost {
         let err = |m: String| HostError::new(helpers::BUILTIN, m);
         let mut args = Vec::with_capacity(nargs as usize);
         for i in 0..nargs {
-            args.push(self.decode(Self::read_tv(cpu, base + i * TVALUE_SIZE))?);
+            args.push(self.decode(TvSlot::load(cpu, base + i * TVALUE_SIZE))?);
         }
         let arg = |i: usize| args.get(i).copied().unwrap_or(Hv::Nil);
         let as_int = |hv: Hv| -> Result<i64, HostError> {
@@ -506,7 +373,7 @@ impl LuaHost {
                 }
                 cost = Cost::affine(60, 3, line.len() as u64)
                     .plus(Cost::affine(0, 25, args.len() as u64));
-                self.output.push_str(&line);
+                self.heap.print(&line);
                 Hv::Nil
             }
             Builtin::Clock => {
@@ -549,7 +416,7 @@ impl LuaHost {
                 let Hv::Str(id) = arg(0) else {
                     return Err(err("sub on a non-string".into()));
                 };
-                let s = self.string(id)?.to_string();
+                let s = self.heap.string(id)?.to_string();
                 let i = as_int(arg(1))?;
                 let j = match arg(2) {
                     Hv::Nil => -1,
@@ -557,14 +424,14 @@ impl LuaHost {
                 };
                 let out = string_sub(&s, i, j);
                 cost = Cost::affine(40, 2, out.len() as u64);
-                Hv::Str(self.intern(&out))
+                Hv::Str(self.heap.intern(&out))
             }
             Builtin::Len => {
                 cost = Cost::fixed(15);
                 match arg(0) {
-                    Hv::Str(id) => Hv::Int(self.string(id)?.len() as i64),
+                    Hv::Str(id) => Hv::Int(self.heap.string(id)?.len() as i64),
                     Hv::Table(hdr) => {
-                        Hv::Int(cpu.mem().read_u64(hdr + table::ARR_LEN as u64) as i64)
+                        Hv::Int(LuaHeap::array_len(cpu, hdr) as i64)
                     }
                     other => return Err(err(format!("len on {}", Self::type_name(other)))),
                 }
@@ -573,7 +440,7 @@ impl LuaHost {
                 cost = Cost::fixed(20);
                 let v = as_int(arg(0))?;
                 let b = u8::try_from(v).map_err(|_| err(format!("char: {v} out of range")))?;
-                Hv::Str(self.intern(&(b as char).to_string()))
+                Hv::Str(self.heap.intern(&(b as char).to_string()))
             }
             Builtin::Byte => {
                 cost = Cost::fixed(20);
@@ -584,7 +451,7 @@ impl LuaHost {
                     Hv::Nil => 1,
                     v => as_int(v)?,
                 };
-                let s = self.string(id)?;
+                let s = self.heap.string(id)?;
                 match s.as_bytes().get((i - 1).max(0) as usize) {
                     Some(b) if i >= 1 => Hv::Int(*b as i64),
                     _ => Hv::Nil,
@@ -595,47 +462,47 @@ impl LuaHost {
                 let Hv::Table(hdr) = arg(0) else {
                     return Err(err("insert on a non-table".into()));
                 };
-                let len = cpu.mem().read_u64(hdr + table::ARR_LEN as u64) as i64;
-                let value = Self::read_tv(cpu, base + TVALUE_SIZE);
-                let extra = self.table_set(cpu, hdr, HKey::Int(len + 1), value)?;
+                let len = LuaHeap::array_len(cpu, hdr) as i64;
+                let value = TvSlot::load(cpu, base + TVALUE_SIZE);
+                let extra = self.heap.set(cpu, hdr, HKey::Int(len + 1), value)?;
                 cost = cost.plus(extra);
                 Hv::Nil
             }
             Builtin::Tostring => {
                 let s = self.format(arg(0))?;
                 cost = Cost::affine(60, 2, s.len() as u64);
-                Hv::Str(self.intern(&s))
+                Hv::Str(self.heap.intern(&s))
             }
         };
-        Self::write_tv(cpu, base, Self::encode(result));
+        TvSlot::store(cpu, base, Self::encode(result));
         Ok(cost)
     }
 
     fn forprep_slow(&mut self, cpu: &mut Cpu) -> Result<Cost, HostError> {
         let block = cpu.regs().read(Reg::A1).v;
-        let idx = self.decode(Self::read_tv(cpu, block))?;
-        let limit = self.decode(Self::read_tv(cpu, block + TVALUE_SIZE))?;
-        let step = self.decode(Self::read_tv(cpu, block + 2 * TVALUE_SIZE))?;
+        let idx = self.decode(TvSlot::load(cpu, block))?;
+        let limit = self.decode(TvSlot::load(cpu, block + TVALUE_SIZE))?;
+        let step = self.decode(TvSlot::load(cpu, block + 2 * TVALUE_SIZE))?;
         let (i, _) = self.to_number(idx)?;
         let (l, _) = self.to_number(limit)?;
         let (s, _) = self.to_number(step)?;
         if s == 0.0 {
             return Err(HostError::new(helpers::FORPREP_SLOW, "'for' step is zero"));
         }
-        Self::write_tv(cpu, block, Self::encode(Hv::Float(i - s)));
-        Self::write_tv(cpu, block + TVALUE_SIZE, Self::encode(Hv::Float(l)));
-        Self::write_tv(cpu, block + 2 * TVALUE_SIZE, Self::encode(Hv::Float(s)));
+        TvSlot::store(cpu, block, Self::encode(Hv::Float(i - s)));
+        TvSlot::store(cpu, block + TVALUE_SIZE, Self::encode(Hv::Float(l)));
+        TvSlot::store(cpu, block + 2 * TVALUE_SIZE, Self::encode(Hv::Float(s)));
         Ok(Cost::fixed(40))
     }
 
     fn len_slow(&mut self, cpu: &mut Cpu) -> Result<Cost, HostError> {
         let ra = cpu.regs().read(Reg::A1).v;
         let rb = cpu.regs().read(Reg::A2).v;
-        let v = self.decode(Self::read_tv(cpu, rb))?;
+        let v = self.decode(TvSlot::load(cpu, rb))?;
         match v {
             Hv::Str(id) => {
-                let len = self.string(id)?.len() as i64;
-                Self::write_tv(cpu, ra, Self::encode(Hv::Int(len)));
+                let len = self.heap.string(id)?.len() as i64;
+                TvSlot::store(cpu, ra, Self::encode(Hv::Int(len)));
                 Ok(Cost::fixed(15))
             }
             other => Err(HostError::new(
@@ -657,23 +524,23 @@ impl NativeHost for LuaHost {
             helpers::NEWTABLE => {
                 let ra = cpu.regs().read(Reg::A1).v;
                 let hint = cpu.regs().read(Reg::A2).v;
-                let hdr = self.new_table(cpu, hint)?;
-                Self::write_tv(cpu, ra, Self::encode(Hv::Table(hdr)));
+                let hdr = self.heap.new_table(cpu, hint)?;
+                TvSlot::store(cpu, ra, Self::encode(Hv::Table(hdr)));
                 Cost::affine(60, 1, hint)
             }
             helpers::GETGLOBAL => {
                 let ra = cpu.regs().read(Reg::A1).v;
                 let name_addr = cpu.regs().read(Reg::A2).v;
-                let name = Self::read_tv(cpu, name_addr);
+                let name = TvSlot::load(cpu, name_addr);
                 let tv = self.globals.get(&(name.v as u32)).copied().unwrap_or(RawTv::NIL);
-                Self::write_tv(cpu, ra, tv);
+                TvSlot::store(cpu, ra, tv);
                 Cost::fixed(35)
             }
             helpers::SETGLOBAL => {
                 let va = cpu.regs().read(Reg::A1).v;
                 let name_addr = cpu.regs().read(Reg::A2).v;
-                let name = Self::read_tv(cpu, name_addr);
-                let value = Self::read_tv(cpu, va);
+                let name = TvSlot::load(cpu, name_addr);
+                let value = TvSlot::load(cpu, va);
                 self.globals.insert(name.v as u32, value);
                 Cost::fixed(35)
             }
@@ -681,13 +548,7 @@ impl NativeHost for LuaHost {
             helpers::FORPREP_SLOW => self.forprep_slow(cpu)?,
             helpers::LEN_SLOW => self.len_slow(cpu)?,
             helpers::ERROR => {
-                let code = cpu.regs().read(Reg::A0).v;
-                let msg = match code {
-                    helpers::errcode::STACK_OVERFLOW => "stack overflow",
-                    helpers::errcode::DIV_BY_ZERO => "integer division by zero",
-                    _ => "runtime error",
-                };
-                return Err(HostError::new(helpers::ERROR, msg));
+                return Err(HostError::runtime(helpers::ERROR, cpu.regs().read(Reg::A0).v))
             }
             other => return Err(HostError::new(other, "unknown helper id")),
         };

@@ -97,6 +97,28 @@ impl From<Trap> for HostError {
     }
 }
 
+/// Error codes an interpreter passes in `a0` to its engine's fatal-error
+/// helper; every engine uses the same codes.
+pub mod errcode {
+    /// CallInfo or value stack overflow.
+    pub const STACK_OVERFLOW: u64 = 1;
+    /// Division or modulo by integer zero.
+    pub const DIV_BY_ZERO: u64 = 2;
+}
+
+impl HostError {
+    /// The error an interpreter raises through its fatal-error helper
+    /// `helper` with [`errcode`] `code`.
+    pub fn runtime(helper: u64, code: u64) -> HostError {
+        let msg = match code {
+            errcode::STACK_OVERFLOW => "stack overflow",
+            errcode::DIV_BY_ZERO => "integer division by zero",
+            _ => "runtime error",
+        };
+        HostError::new(helper, msg)
+    }
+}
+
 /// Services `ecall` instructions for a running machine.
 ///
 /// By convention the helper id is passed in `a7` and arguments in

@@ -27,11 +27,12 @@
 use crate::bytecode::{Bc, Const, Module, Op};
 use crate::helpers_mod as helpers;
 use crate::layout::{callinfo, funcinfo, map, object, NIL};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, Object, Program, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label, Object, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
+use tarch_sim::heap::Interner;
+use tarch_sim::Image;
 
 /// VM pc.
 const PC: Reg = Reg::S0;
@@ -56,28 +57,12 @@ const CI_LIM: Reg = Reg::S11;
 /// Current bytecode word.
 const W: Reg = Reg::T0;
 
-/// A built wasmrt image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WasmImage {
-    /// Assembled program.
-    pub program: Program,
-    /// Handler entry pcs.
-    pub handler_entries: Vec<(Op, u64)>,
-    /// Dispatch loop pc.
-    pub dispatch_pc: u64,
-    /// Interned strings.
-    pub strings: Vec<String>,
-    /// ISA level (the emitted code does not depend on it; kept for
-    /// reporting symmetry with the other engines).
-    pub level: IsaLevel,
-}
-
 /// Generates the interpreter image.
 ///
 /// # Errors
 ///
 /// Returns [`AsmError`] on assembly failure (codegen bug).
-pub fn build_image(module: &Module, level: IsaLevel) -> Result<WasmImage, AsmError> {
+pub fn build_image(module: &Module, level: IsaLevel) -> Result<Image<Op>, AsmError> {
     let main = &module.protos[module.main];
     let sp_top = map::STACK_BASE + main.nlocals as u64 * 8;
     let interp = interpreter(ProgramBuilder::li_len(sp_top as i64))?;
@@ -129,11 +114,11 @@ pub fn build_image(module: &Module, level: IsaLevel) -> Result<WasmImage, AsmErr
             l.dword(dword);
         }
     }
-    Ok(WasmImage {
+    Ok(Image {
         program: l.finish()?,
         handler_entries: interp.handler_entries.clone(),
         dispatch_pc: interp.dispatch_pc,
-        strings: strings.strings,
+        strings: strings.into_strings(),
         level,
     })
 }
@@ -161,25 +146,6 @@ fn interpreter(sp_words: usize) -> Result<&'static Interp, AsmError> {
     // zero) or a `lui`+`addi` pair; a wider value would fail to link.
     let sp_words = sp_words.min(2);
     TEXT[sp_words - 1].get_or_init(|| Gen::new(sp_words).assemble()).as_ref().map_err(Clone::clone)
-}
-
-/// String interning in first-use order; the index is the string id.
-#[derive(Default)]
-struct Interner {
-    strings: Vec<String>,
-    ids: HashMap<String, u32>,
-}
-
-impl Interner {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.ids.insert(s.to_string(), id);
-        id
-    }
 }
 
 struct Gen {
@@ -663,7 +629,7 @@ impl Gen {
         self.b.ld(Reg::T5, object::LEN, hdr);
         self.b.addi(elem, key, -1);
         self.b.bgeu(elem, Reg::T5, slow);
-        self.b.ld(Reg::T5, object::ELEMS_PTR, hdr);
+        self.b.ld(Reg::T5, object::PTR, hdr);
         self.b.slli(elem, elem, 3);
         self.b.add(elem, elem, Reg::T5);
     }
@@ -697,7 +663,7 @@ impl Gen {
         self.b.addi(Reg::T5, Reg::T5, 1);
         self.b.sd(Reg::T5, object::LEN, hdr);
         self.b.bind(in_range);
-        self.b.ld(Reg::T5, object::ELEMS_PTR, hdr);
+        self.b.ld(Reg::T5, object::PTR, hdr);
         self.b.slli(elem, elem, 3);
         self.b.add(elem, elem, Reg::T5);
         self.b.j(store);

@@ -35,18 +35,7 @@
 pub const NIL: u64 = i64::MIN as u64;
 
 /// Table header offsets (elements are 8-byte *untagged* dwords).
-pub mod object {
-    /// Address of the dense elements.
-    pub const ELEMS_PTR: i32 = 0;
-    /// Capacity in elements.
-    pub const CAP: i32 = 8;
-    /// Length (dense border).
-    pub const LEN: i32 = 16;
-    /// Host-side hash-part id.
-    pub const HASH_ID: i32 = 24;
-    /// Header size.
-    pub const HEADER_SIZE: u64 = 32;
-}
+pub use tarch_sim::layout::header as object;
 
 /// Function-info record offsets (32-byte records).
 pub mod funcinfo {
@@ -74,27 +63,10 @@ pub mod callinfo {
     pub const STRIDE: u64 = 32;
 }
 
-/// Memory map (same skeleton as `jsrt`, 8-byte value slots). The globals
+/// Memory map (shared by every engine, 8-byte value slots). The globals
 /// area lives at the start of DATA-resident VM data, after the interpreter's
 /// own tables; its base is carried in a reserved register at run time.
-pub mod map {
-    /// Interpreter text.
-    pub const TEXT_BASE: u64 = 0x0001_0000;
-    /// Static data (dispatch table, function table, code, consts, globals).
-    pub const DATA_BASE: u64 = 0x0040_0000;
-    /// Combined locals + operand stack.
-    pub const STACK_BASE: u64 = 0x0100_0000;
-    /// Stack limit.
-    pub const STACK_LIMIT: u64 = 0x017f_0000;
-    /// CallInfo stack.
-    pub const CI_BASE: u64 = 0x0180_0000;
-    /// CallInfo limit.
-    pub const CI_LIMIT: u64 = 0x01a0_0000;
-    /// Heap.
-    pub const HEAP_BASE: u64 = 0x0200_0000;
-    /// Heap limit.
-    pub const HEAP_LIMIT: u64 = 0x0800_0000;
-}
+pub use tarch_sim::layout::map;
 
 #[cfg(test)]
 mod tests {

@@ -58,13 +58,67 @@
 mod bytecode;
 mod codegen;
 mod compiler;
-mod engine;
 pub mod helpers_mod;
 pub mod layout;
 mod runtime;
 
 pub use bytecode::{validate, Bc, Builtin, Const, Module, Op, Proto, TyCode, ValidateError};
-pub use codegen::{build_image, WasmImage};
+pub use codegen::build_image;
 pub use compiler::{compile, CompileError};
-pub use engine::{run_source, EngineError, OpProfile, RunReport, WasmVm};
+pub use tarch_sim::EngineError;
+
+/// The `wasmrt` engine, as driven by [`tarch_sim::Vm`].
+#[derive(Debug, Clone, Copy)]
+pub struct Wasm;
+
+impl tarch_sim::private::EngineImpl for Wasm {
+    type Op = Op;
+    type Module = Module;
+    type Host = WasmHost;
+    type CompileError = CompileError;
+
+    fn compile(chunk: &miniscript::Chunk) -> Result<Module, CompileError> {
+        compile(chunk)
+    }
+
+    fn build_image(
+        module: &Module,
+        level: tarch_core::IsaLevel,
+    ) -> Result<WasmImage, tarch_isa::asm::AsmError> {
+        build_image(module, level)
+    }
+
+    fn host(strings: Vec<String>) -> WasmHost {
+        WasmHost::new(strings)
+    }
+
+    fn output(host: &WasmHost) -> &str {
+        host.output()
+    }
+}
+
+/// A ready-to-run `wasmrt` engine instance.
+///
+/// # Examples
+///
+/// ```
+/// use tarch_core::{CoreConfig, IsaLevel};
+/// use wasmrt::WasmVm;
+///
+/// let mut vm = WasmVm::from_source("print(40 + 2)", IsaLevel::Typed, CoreConfig::paper())?;
+/// let report = vm.run(10_000_000)?;
+/// assert_eq!(report.output, "42\n");
+/// // Statically typed guest: the typed hardware had nothing to do.
+/// assert_eq!(report.counters.type_checks, 0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub type WasmVm = tarch_sim::Vm<Wasm>;
+/// A built `wasmrt` image.
+pub type WasmImage = tarch_sim::Image<Op>;
+/// Results of one `wasmrt` run. `type_checks`, `type_hits`, `tagged_mem`
+/// and `typed_alu` read zero by construction: the image contains no
+/// typed-hardware instructions.
+pub type RunReport = tarch_sim::RunReport<Op>;
+/// Per-opcode attribution of one `wasmrt` run.
+pub type OpProfile = tarch_sim::OpProfile<Op>;
 pub use runtime::WasmHost;

@@ -14,74 +14,31 @@
 
 use crate::bytecode::{Builtin, TyCode};
 use crate::helpers_mod as helpers;
-use crate::layout::{map, object, NIL};
+use crate::layout::NIL;
 use miniscript::{format_float, string_sub};
-use std::collections::HashMap;
 use tarch_core::{canonical_f64_bits, Cpu};
 use tarch_isa::Reg;
+use tarch_sim::heap::{HKey, Heap, Word};
 use tarch_sim::{Cost, HostError, NativeHost};
-
-/// Hash-part key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum HKey {
-    Int(i64),
-    Str(u32),
-}
 
 /// The native host for the `wasmrt` engine.
 #[derive(Debug, Clone)]
 pub struct WasmHost {
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
-    hash_parts: Vec<HashMap<HKey, u64>>,
-    output: String,
-    heap_ptr: u64,
+    heap: WasmHeap,
 }
+
+/// Array slots are untagged words; absent elements read as [`NIL`].
+type WasmHeap = Heap<Word<NIL>>;
 
 impl WasmHost {
     /// Creates a host pre-loaded with the image's interned strings.
     pub fn new(strings: Vec<String>) -> WasmHost {
-        let string_ids =
-            strings.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        WasmHost {
-            strings,
-            string_ids,
-            hash_parts: Vec::new(),
-            output: String::new(),
-            heap_ptr: map::HEAP_BASE,
-        }
+        WasmHost { heap: Heap::new(strings) }
     }
 
     /// Everything the program printed.
     pub fn output(&self) -> &str {
-        &self.output
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
-    }
-
-    fn string(&self, id: u32) -> Result<&str, HostError> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| HostError::new(0, format!("bad string id {id}")))
-    }
-
-    fn alloc(&mut self, bytes: u64) -> Result<u64, HostError> {
-        let addr = (self.heap_ptr + 15) & !15;
-        let end = addr + bytes;
-        if end > map::HEAP_LIMIT {
-            return Err(HostError::new(0, "heap exhausted (GC is disabled)"));
-        }
-        self.heap_ptr = end;
-        Ok(addr)
+        self.heap.output()
     }
 
     /// Renders a raw word under its static type code.
@@ -92,7 +49,7 @@ impl WasmHost {
         Ok(match code {
             TyCode::Int => (raw as i64).to_string(),
             TyCode::F64 => format_float(f64::from_bits(raw)),
-            TyCode::Str => self.string(raw as u32)?.to_string(),
+            TyCode::Str => self.heap.string(raw as u32)?.to_string(),
             TyCode::Bool => if raw & 1 != 0 { "true" } else { "false" }.to_string(),
             TyCode::Ref => "table".to_string(),
         })
@@ -113,107 +70,6 @@ impl WasmHost {
 
     // --- table services --------------------------------------------------
 
-    fn elem_get(&self, cpu: &Cpu, hdr: u64, key: HKey) -> Result<u64, HostError> {
-        if let HKey::Int(i) = key {
-            let len = cpu.mem().read_u64(hdr + object::LEN as u64) as i64;
-            if i >= 1 && i <= len {
-                let elems = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-                return Ok(Self::read(cpu, elems + (i as u64 - 1) * 8));
-            }
-        }
-        let hash_id = cpu.mem().read_u64(hdr + object::HASH_ID as u64) as usize;
-        let part = self
-            .hash_parts
-            .get(hash_id)
-            .ok_or_else(|| HostError::new(0, "corrupt object header"))?;
-        Ok(part.get(&key).copied().unwrap_or(NIL))
-    }
-
-    fn elem_set(
-        &mut self,
-        cpu: &mut Cpu,
-        hdr: u64,
-        key: HKey,
-        value: u64,
-    ) -> Result<Cost, HostError> {
-        let mut extra = Cost::default();
-        if let HKey::Int(i) = key {
-            let len = cpu.mem().read_u64(hdr + object::LEN as u64) as i64;
-            let cap = cpu.mem().read_u64(hdr + object::CAP as u64) as i64;
-            if i >= 1 && i <= len {
-                let elems = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-                Self::write(cpu, elems + (i as u64 - 1) * 8, value);
-                return Ok(extra);
-            }
-            if i == len + 1 {
-                if len == cap {
-                    extra = extra.plus(self.grow(cpu, hdr)?);
-                }
-                let elems = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-                Self::write(cpu, elems + len as u64 * 8, value);
-                cpu.host_store_u64(hdr + object::LEN as u64, len as u64 + 1);
-                extra = extra.plus(self.absorb(cpu, hdr)?);
-                return Ok(extra);
-            }
-        }
-        let hash_id = cpu.mem().read_u64(hdr + object::HASH_ID as u64) as usize;
-        let part = self
-            .hash_parts
-            .get_mut(hash_id)
-            .ok_or_else(|| HostError::new(0, "corrupt object header"))?;
-        if value == NIL {
-            part.remove(&key);
-        } else {
-            part.insert(key, value);
-        }
-        Ok(extra)
-    }
-
-    fn grow(&mut self, cpu: &mut Cpu, hdr: u64) -> Result<Cost, HostError> {
-        let cap = cpu.mem().read_u64(hdr + object::CAP as u64);
-        let len = cpu.mem().read_u64(hdr + object::LEN as u64);
-        let new_cap = (cap * 2).max(4);
-        let new_elems = self.alloc(new_cap * 8)?;
-        let old = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-        for i in 0..len {
-            let v = Self::read(cpu, old + i * 8);
-            Self::write(cpu, new_elems + i * 8, v);
-        }
-        cpu.host_store_u64(hdr + object::ELEMS_PTR as u64, new_elems);
-        cpu.host_store_u64(hdr + object::CAP as u64, new_cap);
-        Ok(Cost::affine(50, 3, len))
-    }
-
-    fn absorb(&mut self, cpu: &mut Cpu, hdr: u64) -> Result<Cost, HostError> {
-        let hash_id = cpu.mem().read_u64(hdr + object::HASH_ID as u64) as usize;
-        let mut moved = 0;
-        loop {
-            let len = cpu.mem().read_u64(hdr + object::LEN as u64);
-            let Some(part) = self.hash_parts.get_mut(hash_id) else { break };
-            let Some(v) = part.remove(&HKey::Int(len as i64 + 1)) else { break };
-            let cap = cpu.mem().read_u64(hdr + object::CAP as u64);
-            if len == cap {
-                self.grow(cpu, hdr)?;
-            }
-            let elems = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
-            Self::write(cpu, elems + len * 8, v);
-            cpu.host_store_u64(hdr + object::LEN as u64, len + 1);
-            moved += 1;
-        }
-        Ok(Cost::affine(0, 8, moved))
-    }
-
-    fn new_array(&mut self, cpu: &mut Cpu, capacity: u64) -> Result<u64, HostError> {
-        let hdr = self.alloc(object::HEADER_SIZE + capacity * 8)?;
-        let elems = hdr + object::HEADER_SIZE;
-        cpu.host_store_u64(hdr + object::ELEMS_PTR as u64, elems);
-        cpu.host_store_u64(hdr + object::CAP as u64, capacity);
-        cpu.host_store_u64(hdr + object::LEN as u64, 0);
-        cpu.host_store_u64(hdr + object::HASH_ID as u64, self.hash_parts.len() as u64);
-        self.hash_parts.push(HashMap::new());
-        Ok(hdr)
-    }
-
     fn hkey(kind: u64, raw: u64) -> Result<HKey, HostError> {
         match kind {
             helpers::keykind::INT => Ok(HKey::Int(raw as i64)),
@@ -230,10 +86,10 @@ impl WasmHost {
         let hdr = Self::read(cpu, base);
         let key = Self::hkey(kind, Self::read(cpu, base + 8))?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(50, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(50, 6, self.heap.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(60),
         };
-        let v = self.elem_get(cpu, hdr, key)?;
+        let v = self.heap.get(cpu, hdr, key)?;
         Self::write(cpu, base, v);
         Ok(cost)
     }
@@ -245,10 +101,10 @@ impl WasmHost {
         let key = Self::hkey(kind, Self::read(cpu, base + 8))?;
         let value = Self::read(cpu, base + 16);
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(70, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(70, 6, self.heap.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(80),
         };
-        let extra = self.elem_set(cpu, hdr, key, value)?;
+        let extra = self.heap.set(cpu, hdr, key, value)?;
         Ok(cost.plus(extra))
     }
 
@@ -261,7 +117,7 @@ impl WasmHost {
         let rhs = self.format(rhs_code, Self::read(cpu, base + 8))?;
         let s = format!("{lhs}{rhs}");
         let bytes = s.len() as u64;
-        let id = self.intern(&s);
+        let id = self.heap.intern(&s);
         Self::write(cpu, base, id as u64);
         Ok(Cost::affine(60, 2, bytes))
     }
@@ -269,7 +125,7 @@ impl WasmHost {
     fn helper_strlen(&mut self, cpu: &mut Cpu) -> Result<Cost, HostError> {
         let addr = cpu.regs().read(Reg::A1).v;
         let id = Self::read(cpu, addr) as u32;
-        let len = self.string(id)?.len() as u64;
+        let len = self.heap.string(id)?.len() as u64;
         Self::write(cpu, addr, len);
         Ok(Cost::fixed(15))
     }
@@ -309,7 +165,7 @@ impl WasmHost {
                 }
                 cost = Cost::affine(60, 3, line.len() as u64)
                     .plus(Cost::affine(0, 25, nargs as u64));
-                self.output.push_str(&line);
+                self.heap.print(&line);
                 NIL
             }
             Builtin::Clock => {
@@ -347,30 +203,30 @@ impl WasmHost {
                 }
             }
             Builtin::Sub => {
-                let s = self.string(arg(0) as u32)?.to_string();
+                let s = self.heap.string(arg(0) as u32)?.to_string();
                 let i = arg(1) as i64;
                 let j = if nargs > 2 { arg(2) as i64 } else { -1 };
                 let out = string_sub(&s, i, j);
                 cost = Cost::affine(40, 2, out.len() as u64);
-                self.intern(&out) as u64
+                self.heap.intern(&out) as u64
             }
             Builtin::Len => {
                 cost = Cost::fixed(15);
                 match code(0)? {
-                    TyCode::Str => self.string(arg(0) as u32)?.len() as u64,
-                    _ => cpu.mem().read_u64(arg(0) + object::LEN as u64),
+                    TyCode::Str => self.heap.string(arg(0) as u32)?.len() as u64,
+                    _ => WasmHeap::array_len(cpu, arg(0)),
                 }
             }
             Builtin::Char => {
                 cost = Cost::fixed(20);
                 let v = arg(0) as i64;
                 let b = u8::try_from(v).map_err(|_| err(format!("char: {v} out of range")))?;
-                self.intern(&(b as char).to_string()) as u64
+                self.heap.intern(&(b as char).to_string()) as u64
             }
             Builtin::Byte => {
                 cost = Cost::fixed(20);
                 let i = if nargs > 1 { arg(1) as i64 } else { 1 };
-                let s = self.string(arg(0) as u32)?;
+                let s = self.heap.string(arg(0) as u32)?;
                 match s.as_bytes().get((i - 1).max(0) as usize) {
                     Some(b) if i >= 1 => *b as u64,
                     _ => NIL,
@@ -379,15 +235,15 @@ impl WasmHost {
             Builtin::Insert => {
                 cost = Cost::fixed(30);
                 let hdr = arg(0);
-                let len = cpu.mem().read_u64(hdr + object::LEN as u64) as i64;
-                let extra = self.elem_set(cpu, hdr, HKey::Int(len + 1), arg(1))?;
+                let len = WasmHeap::array_len(cpu, hdr) as i64;
+                let extra = self.heap.set(cpu, hdr, HKey::Int(len + 1), arg(1))?;
                 cost = cost.plus(extra);
                 NIL
             }
             Builtin::Tostring => {
                 let s = self.format(code(0)?, arg(0))?;
                 cost = Cost::affine(60, 2, s.len() as u64);
-                self.intern(&s) as u64
+                self.heap.intern(&s) as u64
             }
         };
         Self::write(cpu, base, result);
@@ -404,7 +260,7 @@ impl NativeHost for WasmHost {
             helpers::NEWARR => {
                 let dst = cpu.regs().read(Reg::A1).v;
                 let hint = cpu.regs().read(Reg::A2).v;
-                let hdr = self.new_array(cpu, hint)?;
+                let hdr = self.heap.new_table(cpu, hint)?;
                 Self::write(cpu, dst, hdr);
                 Cost::affine(60, 1, hint)
             }
@@ -412,13 +268,7 @@ impl NativeHost for WasmHost {
             helpers::BUILTIN => self.helper_builtin(cpu)?,
             helpers::STRLEN => self.helper_strlen(cpu)?,
             helpers::ERROR => {
-                let code = cpu.regs().read(Reg::A0).v;
-                let msg = match code {
-                    helpers::errcode::STACK_OVERFLOW => "stack overflow",
-                    helpers::errcode::DIV_BY_ZERO => "integer division by zero",
-                    _ => "runtime error",
-                };
-                return Err(HostError::new(helpers::ERROR, msg));
+                return Err(HostError::runtime(helpers::ERROR, cpu.regs().read(Reg::A0).v))
             }
             other => return Err(HostError::new(other, "unknown helper id")),
         };

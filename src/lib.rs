@@ -8,7 +8,8 @@
 //! * [`mem`] — caches, TLBs, DRAM timing, physical memory;
 //! * [`core`] — the Typed Architecture processor model (the paper's
 //!   contribution);
-//! * [`sim`] — machine integration and the native-helper interface;
+//! * [`sim`] — machine integration, the native-helper interface and the
+//!   guest-VM driver every engine runs under;
 //! * [`script`] — the MiniScript frontend and reference interpreter;
 //! * [`lua`] — the register-based Lua-like engine;
 //! * [`js`] — the stack-based NaN-boxing engine;
