@@ -87,9 +87,18 @@
 //! Superblocks revalidate per segment and otherwise ride the exact
 //! generation contract above; see DESIGN.md invariant 9.
 //!
+//! **Shared code**: with a [`crate::CodeCache`] attached to the core, a
+//! block is either adopted from the cache (`BlockTable::adopt`, after
+//! the core checked its words against memory) or published to it after
+//! a local build; either way the block holds the cache entry's words
+//! and run and tiers up through the entry's closure slot. Everything
+//! else above — heat, links, generations, revalidation — stays per
+//! table, and an adopted block counts as a build.
+//!
 //! Entries outside the text range miss the table and fall back to the
 //! stepwise path, so dynamically placed code still runs.
 
+use crate::codecache::{ShapeTable, SharedBlock};
 use crate::codegen::CompiledBlock;
 use std::sync::Arc;
 use tarch_isa::Instruction;
@@ -222,16 +231,25 @@ impl BlockOp {
 
     /// The components of a fused pair, or `None` for a single.
     pub fn pair(self) -> Option<(Instruction, Instruction)> {
+        match self.components() {
+            (a, Some(b)) => Some((a, b)),
+            (_, None) => None,
+        }
+    }
+
+    /// The instruction(s) this op retires, in program order: a single's
+    /// instruction, or a fused pair's two components.
+    pub fn components(self) -> (Instruction, Option<Instruction>) {
         match self {
-            BlockOp::One(_)
-            | BlockOp::OneSafe(_)
-            | BlockOp::OneLoad(_)
-            | BlockOp::OneStore(_)
-            | BlockOp::OneBranch(_)
-            | BlockOp::OneJal(_)
-            | BlockOp::OneJalr(_)
-            | BlockOp::GuardBranch(..)
-            | BlockOp::GuardJal(_) => None,
+            BlockOp::One(a)
+            | BlockOp::OneSafe(a)
+            | BlockOp::OneLoad(a)
+            | BlockOp::OneStore(a)
+            | BlockOp::OneBranch(a)
+            | BlockOp::OneJal(a)
+            | BlockOp::OneJalr(a)
+            | BlockOp::GuardBranch(a, _)
+            | BlockOp::GuardJal(a) => (a, None),
             BlockOp::AluPair(a, b)
             | BlockOp::AluLoad(a, b)
             | BlockOp::LoadAlu(a, b)
@@ -244,9 +262,18 @@ impl BlockOp {
             | BlockOp::StoreAlu(a, b)
             | BlockOp::StoreJal(a, b)
             | BlockOp::TldTchk(a, b)
-            | BlockOp::TgetBranch(a, b) => Some((a, b)),
+            | BlockOp::TgetBranch(a, b) => (a, Some(b)),
         }
     }
+}
+
+/// Whether a block whose last instruction is `last` ends in a branch or
+/// jump, the only exits chain links are formed for.
+fn ends_in_transfer(last: Option<Instruction>) -> bool {
+    matches!(
+        last,
+        Some(Instruction::Branch { .. } | Instruction::Jal { .. } | Instruction::Jalr { .. })
+    )
 }
 
 /// Whether `instr` is in the fusable ALU class: integer ALU (reg-reg or
@@ -444,7 +471,8 @@ impl Default for ChainLink {
 struct Block {
     gen: u64,
     pc: u64,
-    words: Vec<u32>,
+    /// Shared with the block's code cache entry when it has one.
+    words: Arc<[u32]>,
     /// Text segments this block's `words` were decoded from, as
     /// `(base, word_count)` in `words` order. Empty for the common
     /// contiguous block (one segment starting at `pc`); a PGO
@@ -467,6 +495,9 @@ struct Block {
     /// The tier-3 compiled closure, shared with every handed-out run
     /// (and with table clones — the fleet's warm-cache inheritance).
     compiled: Option<Arc<CompiledBlock>>,
+    /// The code cache entry this block was adopted from or published as;
+    /// its closure slot serves this block's tier-up.
+    shared: Option<Arc<SharedBlock>>,
 }
 
 impl Block {
@@ -490,7 +521,7 @@ impl Default for Block {
         Block {
             gen: 0,
             pc: 0,
-            words: Vec::new(),
+            words: Arc::from(Vec::new()),
             segs: Vec::new(),
             ops: Arc::from(Vec::new()),
             width: 0,
@@ -499,6 +530,7 @@ impl Default for Block {
             hot_links: [0; CHAIN_LINKS],
             heat: 0,
             compiled: None,
+            shared: None,
         }
     }
 }
@@ -766,40 +798,75 @@ impl BlockTable {
         fuse: bool,
     ) -> BlockRun {
         assert!(self.covers(pc) && !instrs.is_empty(), "install of empty or uncovered block");
-        let idx = self.index(pc);
-        let bid = if self.entry[idx] == NO_BLOCK {
-            self.blocks.push(Block::default());
-            let bid = (self.blocks.len() - 1) as u32;
-            self.entry[idx] = bid;
-            bid
-        } else {
-            self.entry[idx]
-        };
-        let chainable = matches!(
-            instrs.last(),
-            Some(Instruction::Branch { .. })
-                | Some(Instruction::Jal { .. })
-                | Some(Instruction::Jalr { .. })
-        );
-        let width = instrs.len() as u32;
-        let ops: Arc<[BlockOp]> = Arc::from(fuse_ops_with(&instrs, fuse, self.pgo.as_deref()));
+        let ops = fuse_ops_with(&instrs, fuse, self.pgo.as_deref());
+        self.put(pc, Arc::from(words), Arc::from(ops), Vec::new(), None)
+    }
+
+    /// Installs a block adopted from a code cache entry at `pc`,
+    /// sharing the entry's words and ops. Counted as a build, exactly
+    /// like the [`BlockTable::install`] it replaces.
+    pub(crate) fn adopt(&mut self, pc: u64, entry: Arc<SharedBlock>) -> BlockRun {
+        let (words, ops) = (Arc::clone(&entry.words), Arc::clone(&entry.ops));
+        self.put(pc, words, ops, Vec::new(), Some(entry))
+    }
+
+    /// Publishes block `bid` into `table` under its entry pc. The block
+    /// keeps the entry (and so shares its closure slot) only when this
+    /// call created it.
+    pub(crate) fn publish(&mut self, bid: u32, table: &ShapeTable) {
+        let block = &mut self.blocks[bid as usize];
+        let (words, ops) = (Arc::clone(&block.words), Arc::clone(&block.ops));
+        block.shared = table.publish(block.pc, words, ops);
+    }
+
+    /// The code cache entry block `bid` was adopted from or published as,
+    /// if any.
+    pub(crate) fn shared(&self, bid: u32) -> Option<&SharedBlock> {
+        self.blocks[bid as usize].shared.as_deref()
+    }
+
+    /// Places a decoded block at `pc` (reusing the entry's block id if
+    /// one was allocated before), counts the build and returns its run.
+    fn put(
+        &mut self,
+        pc: u64,
+        words: Arc<[u32]>,
+        ops: Arc<[BlockOp]>,
+        segs: Vec<(u64, u32)>,
+        shared: Option<Arc<SharedBlock>>,
+    ) -> BlockRun {
+        let last = ops.last().map(|op| match op.components() {
+            (_, Some(b)) => b,
+            (a, None) => a,
+        });
         let block = Block {
             gen: self.gen,
             pc,
+            chainable: ends_in_transfer(last),
+            width: words.len() as u32,
             words,
-            segs: Vec::new(),
+            segs,
             ops,
-            width,
-            chainable,
             links: [ChainLink::default(); CHAIN_LINKS],
             hot_links: self.link_hints_for(pc),
             heat: 0,
             compiled: None,
+            shared,
         };
-        let run = block.run(bid);
-        self.blocks[bid as usize] = block;
+        let idx = self.index(pc);
+        let bid = match self.entry[idx] {
+            NO_BLOCK => {
+                self.entry[idx] = self.blocks.len() as u32;
+                self.blocks.push(block);
+                self.entry[idx]
+            }
+            bid => {
+                self.blocks[bid as usize] = block;
+                bid
+            }
+        };
         self.stats.builds += 1;
-        run
+        self.blocks[bid as usize].run(bid)
     }
 
     /// Installs a PGO superblock: two or more decoded text segments
@@ -837,24 +904,13 @@ impl BlockTable {
             "install of empty, inconsistent, or uncovered superblock segment"
         );
         let pc = segs[0].0;
-        let idx = self.index(pc);
-        let bid = if self.entry[idx] == NO_BLOCK {
-            self.blocks.push(Block::default());
-            let bid = (self.blocks.len() - 1) as u32;
-            self.entry[idx] = bid;
-            bid
-        } else {
-            self.entry[idx]
-        };
         let allow = self.pgo.clone();
         let mut words = Vec::new();
         let mut seg_meta = Vec::with_capacity(segs.len());
         let mut ops = Vec::new();
-        let mut width = 0u32;
         for (i, (base, w, instrs)) in segs.iter().enumerate() {
             seg_meta.push((*base, w.len() as u32));
             words.extend_from_slice(w);
-            width += instrs.len() as u32;
             if i + 1 < segs.len() {
                 let (body, ender) = instrs.split_at(instrs.len() - 1);
                 ops.extend(fuse_ops_with(body, fuse, allow.as_deref()));
@@ -867,30 +923,8 @@ impl BlockTable {
                 ops.extend(fuse_ops_with(instrs, fuse, allow.as_deref()));
             }
         }
-        let chainable = matches!(
-            segs.last().expect("non-empty").2.last(),
-            Some(Instruction::Branch { .. })
-                | Some(Instruction::Jal { .. })
-                | Some(Instruction::Jalr { .. })
-        );
-        let block = Block {
-            gen: self.gen,
-            pc,
-            words,
-            segs: seg_meta,
-            ops: Arc::from(ops),
-            width,
-            chainable,
-            links: [ChainLink::default(); CHAIN_LINKS],
-            hot_links: self.link_hints_for(pc),
-            heat: 0,
-            compiled: None,
-        };
-        let run = block.run(bid);
-        self.blocks[bid as usize] = block;
-        self.stats.builds += 1;
         self.stats.superblocks += 1;
-        run
+        self.put(pc, Arc::from(words), Arc::from(ops), seg_meta, None)
     }
 
     /// Bumps block `bid`'s entry-count heat (saturating) and returns the

@@ -20,6 +20,7 @@
 
 use crate::blocks::{BlockRun, BlockStats, BlockTable, MAX_BLOCK_LEN};
 use crate::bpred::BranchPredictor;
+use crate::codecache::{CodeCache, Shape, ShapeTable, SharedBlock};
 use crate::codegen::{self, BlockExit, ExecCtx, SpanBatch};
 use crate::config::CoreConfig;
 use crate::counters::PerfCounters;
@@ -172,6 +173,9 @@ pub struct Cpu {
     /// one predictable branch per hook site and changes nothing
     /// architectural (pinned by `tests/predecode_equiv.rs`).
     tracer: Option<Box<Tracer>>,
+    /// This core's shape of the loaded text's shared blocks and closures
+    /// ([`Cpu::attach_code_cache`]).
+    code_cache: Option<Arc<ShapeTable>>,
 }
 
 impl Cpu {
@@ -204,8 +208,25 @@ impl Cpu {
             pair_profile: None,
             edge_profile: None,
             tracer,
+            code_cache: None,
             config,
         }
+    }
+
+    /// Attaches the [`CodeCache`] of the loaded text: block builds adopt
+    /// its word-checked blocks and tier-ups its closures, and blocks this
+    /// core builds first are published to it. Host-side only: every
+    /// counter and statistic of this core is what it would be without the
+    /// cache. Cores of different fusion settings or I-cache line sizes
+    /// share only with their own kind, and a core with a PGO or pair
+    /// profile (which reshape blocks per core) does not use the cache at
+    /// all. [`Cpu::load_program`] detaches it, so attach after loading.
+    pub fn attach_code_cache(&mut self, cache: &CodeCache) {
+        let shape = Shape {
+            fuse: self.config.fuse,
+            line_shift: self.config.icache.line_bytes.trailing_zeros(),
+        };
+        self.code_cache = self.config.pgo.is_none().then(|| cache.table(shape));
     }
 
     /// Starts recording adjacent same-block opcode pairs (the measurement
@@ -347,6 +368,7 @@ impl Cpu {
         self.mem.write_bytes(program.data_base, &program.data);
         self.predecode.reset(program.text_base, program.text.len());
         self.blocks.reset(program.text_base, program.text.len());
+        self.code_cache = None;
         self.pc = program.entry;
         self.halted = false;
     }
@@ -798,7 +820,14 @@ impl Cpu {
                         if self.blocks.heat_up(run.bid) >= threshold {
                             // An uncompiled run always carries its ops.
                             let ops = run.ops.as_deref().expect("uncompiled run carries ops");
-                            let code = emitter.emit(pc, line_shift, ops);
+                            let emit = || emitter.emit(pc, line_shift, ops);
+                            // A block shared through the code cache takes
+                            // the closure another core published, or
+                            // publishes its own.
+                            let code = match (self.blocks.shared(run.bid), &self.code_cache) {
+                                (Some(entry), Some(cache)) => cache.closure(entry, emit),
+                                _ => emit(),
+                            };
                             if let Some(code) = &code {
                                 self.blocks.set_compiled(run.bid, Arc::clone(code));
                                 self.trace_event(TraceEventKind::BlockCompile {
@@ -894,7 +923,25 @@ impl Cpu {
     /// when the entry word itself does not decode (the caller raises the
     /// stepwise trap); an undecodable word *after* a decodable run simply
     /// ends the block before it.
+    ///
+    /// With a [`CodeCache`] attached, a block published at `pc` whose
+    /// words match this core's memory is adopted instead of decoded; a
+    /// block built here while `pc` has no entry yet is published.
     fn build_block(&mut self, pc: u64) -> Option<BlockRun> {
+        // Pair profiling reshapes blocks (no fusion), so it keeps out of
+        // the cache.
+        let shared = self.code_cache.as_ref().filter(|_| self.pair_profile.is_none());
+        let entry = shared.and_then(|table| table.get(pc));
+        if let (Some(table), Some(entry)) = (shared, &entry) {
+            let adopt = self.words_match(pc, &entry.words);
+            table.note_adoption(adopt);
+            if adopt {
+                let run = self.adopt_block(pc, Arc::clone(entry));
+                self.trace_event(TraceEventKind::BlockBuild { pc, len: run.width });
+                return Some(run);
+            }
+        }
+        let publish = shared.is_some() && entry.is_none();
         let (words, instrs) = self.decode_run(pc, MAX_BLOCK_LEN);
         if instrs.is_empty() {
             return None;
@@ -915,10 +962,53 @@ impl Cpu {
             self.blocks.install_super(segs, fuse)
         } else {
             let (pc, words, instrs) = segs.pop().expect("entry segment always present");
-            self.blocks.install(pc, words, instrs, fuse)
+            // Only a block whose extent its own words decide is shared:
+            // one cut short by the text edge or an undecodable word would
+            // end elsewhere in a core where those differ.
+            let whole =
+                instrs.len() == MAX_BLOCK_LEN || instrs.last().is_some_and(|&i| ends_block(i));
+            let run = self.blocks.install(pc, words, instrs, fuse);
+            if let (true, Some(table)) = (publish && whole, &self.code_cache) {
+                self.blocks.publish(run.bid, table);
+            }
+            run
         };
         self.trace_event(TraceEventKind::BlockBuild { pc, len: run.width });
         Some(run)
+    }
+
+    /// Whether `words` are what this core's memory holds from `pc` on,
+    /// all inside the loaded text.
+    fn words_match(&self, pc: u64, words: &[u32]) -> bool {
+        let last = pc + 4 * (words.len() as u64 - 1);
+        self.blocks.covers(last)
+            && words.iter().enumerate().all(|(i, &w)| self.mem.read_u32(pc + 4 * i as u64) == w)
+    }
+
+    /// Installs the code cache's block at `pc` (its words already
+    /// checked against memory). The predecode table sees the same
+    /// fetches and fills [`Cpu::decode_run`] would make over those words,
+    /// so its statistics do not depend on the cache.
+    fn adopt_block(&mut self, pc: u64, entry: Arc<SharedBlock>) -> BlockRun {
+        if self.config.predecode {
+            let mut p = pc;
+            let mut words = entry.words.iter();
+            let mut fill = |cpu: &mut Cpu, instr: Instruction| {
+                let word = *words.next().expect("one word per instruction");
+                if cpu.predecode.fetch(p, &cpu.mem).is_none() {
+                    cpu.predecode.fill(p, word, instr);
+                }
+                p += 4;
+            };
+            for op in entry.ops.iter() {
+                let (a, b) = op.components();
+                fill(self, a);
+                if let Some(b) = b {
+                    fill(self, b);
+                }
+            }
+        }
+        self.blocks.adopt(pc, entry)
     }
 
     /// Decodes one straight-line run starting at `pc`: up to `max`

@@ -67,6 +67,7 @@
 
 mod blocks;
 mod bpred;
+mod codecache;
 mod codegen;
 mod config;
 mod counters;
@@ -81,6 +82,7 @@ mod trt;
 
 pub use blocks::{BlockOp, BlockStats, BlockTable, MAX_BLOCK_LEN};
 pub use bpred::{BranchPredictor, BranchStats};
+pub use codecache::{CodeCache, CodeCacheStats};
 pub use codegen::{BlockExit, CodeGenerator, CompiledBlock, Interp, Template};
 pub use config::{BranchConfig, CoreConfig, IsaLevel, LatencyConfig};
 pub use counters::PerfCounters;

@@ -25,8 +25,8 @@
 use crate::bytecode::{Const, Module, Op};
 use crate::helpers_mod as helpers;
 use crate::layout::{self, callinfo, funcinfo, map, object, tag};
-use std::sync::OnceLock;
-use tarch_core::IsaLevel;
+use std::sync::{Arc, OnceLock};
+use tarch_core::{CodeCache, IsaLevel};
 use tarch_isa::asm::{AsmError, Label, Object, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
 use tarch_sim::heap::Interner;
@@ -117,6 +117,7 @@ pub fn build_image(module: &Module, level: IsaLevel) -> Result<Image<Op>, AsmErr
         dispatch_pc: interp.dispatch_pc,
         strings: strings.into_strings(),
         level,
+        code_cache: Arc::clone(&interp.code_cache),
     })
 }
 
@@ -125,6 +126,8 @@ pub fn build_image(module: &Module, level: IsaLevel) -> Result<Image<Op>, AsmErr
 #[derive(Debug)]
 struct Interp {
     object: Object,
+    /// Shared by every VM whose image links `object`.
+    code_cache: Arc<CodeCache>,
     handler_entries: Vec<(Op, u64)>,
     dispatch_pc: u64,
     halt_bc: Label,
@@ -207,8 +210,10 @@ impl Gen {
             .collect();
         handler_entries.sort_by_key(|(_, pc)| *pc);
         let dispatch_pc = program.symbol("dispatch").expect("dispatch symbol");
+        let code_cache = Arc::new(CodeCache::new(program.text_base, program.text.len()));
         Ok(Interp {
             object,
+            code_cache,
             handler_entries,
             dispatch_pc,
             halt_bc: self.halt_bc,

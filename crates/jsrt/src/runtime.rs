@@ -311,8 +311,9 @@ impl JsHost {
         let builtin = Builtin::from_code(id as u16)
             .ok_or_else(|| HostError::new(helpers::BUILTIN, format!("bad builtin id {id}")))?;
         let err = |m: String| HostError::new(helpers::BUILTIN, m);
-        let args: Vec<Hv> =
-            (0..nargs).map(|i| Self::decode(Self::read(cpu, base + i * 8))).collect();
+        let args: Vec<Hv> = tarch_sim::arg_slots(helpers::BUILTIN, base, nargs, 8)?
+            .map(|addr| Self::decode(Self::read(cpu, addr)))
+            .collect();
         let arg = |i: usize| args.get(i).copied().unwrap_or(Hv::Undef);
         let as_int = |hv: Hv| -> Result<i64, HostError> {
             match hv {

@@ -345,10 +345,9 @@ impl LuaHost {
         let builtin = Builtin::from_code(id as u16)
             .ok_or_else(|| HostError::new(helpers::BUILTIN, format!("bad builtin id {id}")))?;
         let err = |m: String| HostError::new(helpers::BUILTIN, m);
-        let mut args = Vec::with_capacity(nargs as usize);
-        for i in 0..nargs {
-            args.push(self.decode(TvSlot::load(cpu, base + i * TVALUE_SIZE))?);
-        }
+        let args = tarch_sim::arg_slots(helpers::BUILTIN, base, nargs, TVALUE_SIZE)?
+            .map(|addr| self.decode(TvSlot::load(cpu, addr)))
+            .collect::<Result<Vec<_>, _>>()?;
         let arg = |i: usize| args.get(i).copied().unwrap_or(Hv::Nil);
         let as_int = |hv: Hv| -> Result<i64, HostError> {
             match hv {

@@ -32,7 +32,7 @@ pub mod native;
 mod vm;
 
 pub use machine::{Machine, RunOutcome, SimError};
-pub use native::{Cost, HostError, NativeHost, NoHost, HELPER_CPI_TENTHS};
+pub use native::{arg_slots, Cost, HostError, NativeHost, NoHost, HELPER_CPI_TENTHS};
 #[doc(hidden)]
 pub use vm::private;
 pub use vm::{Engine, EngineError, Image, OpProfile, RunReport, Vm};

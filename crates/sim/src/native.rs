@@ -97,6 +97,38 @@ impl From<Trap> for HostError {
     }
 }
 
+/// The guest addresses of a builtin's `nargs` argument slots of `size`
+/// bytes each, starting at `base`. Both come from guest registers: the
+/// count is bounded by the value stack the arguments live on
+/// ([`layout::map`](crate::layout::map)), and no slot may run past the
+/// top of the address space.
+///
+/// # Errors
+///
+/// A [`HostError`] for `helper` when the slots would not fit on the
+/// value stack or would wrap around the address space.
+pub fn arg_slots(
+    helper: u64,
+    base: u64,
+    nargs: u64,
+    size: u64,
+) -> Result<impl Iterator<Item = u64>, HostError> {
+    use crate::layout::map::{STACK_BASE, STACK_LIMIT};
+    if nargs > (STACK_LIMIT - STACK_BASE) / size {
+        return Err(HostError::new(
+            helper,
+            format!("{nargs} arguments do not fit on the value stack"),
+        ));
+    }
+    if base.checked_add(nargs * size).is_none() {
+        return Err(HostError::new(
+            helper,
+            format!("{nargs} arguments at {base:#x} run past the address space"),
+        ));
+    }
+    Ok((0..nargs).map(move |i| base + i * size))
+}
+
 /// Error codes an interpreter passes in `a0` to its engine's fatal-error
 /// helper; every engine uses the same codes.
 pub mod errcode {

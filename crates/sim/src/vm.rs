@@ -15,7 +15,7 @@ use std::error::Error;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
-use tarch_core::{BranchStats, CoreConfig, Cpu, IsaLevel, PerfCounters};
+use tarch_core::{BranchStats, CodeCache, CoreConfig, Cpu, IsaLevel, PerfCounters};
 use tarch_isa::asm::{AsmError, Program};
 
 /// A scripting engine that [`Vm`] can drive.
@@ -72,6 +72,10 @@ pub struct Image<Op> {
     pub strings: Vec<String>,
     /// The ISA level the image was generated for.
     pub level: IsaLevel,
+    /// Decoded blocks and compiled closures shared by every VM whose
+    /// image links the same interpreter text; [`Vm::new`] attaches it to
+    /// the core.
+    pub code_cache: Arc<CodeCache>,
 }
 
 /// Error from building or running an engine.
@@ -215,6 +219,7 @@ impl<E: Engine> Vm<E> {
         let image = Arc::new(E::build_image(module, level)?);
         let mut machine = Machine::new(core, E::host(image.strings.clone()));
         machine.load(&image.program);
+        machine.cpu_mut().attach_code_cache(&image.code_cache);
         Ok(Vm { machine, image })
     }
 

@@ -56,7 +56,10 @@ impl WasmHost {
     }
 
     fn code_at(codes: u64, i: usize) -> Result<TyCode, HostError> {
-        TyCode::from_code(((codes >> (4 * i)) & 0xf) as u8)
+        // Sixteen 4-bit codes fit in the register; an argument past them
+        // (a guest-supplied count) has none.
+        let code = u32::try_from(4 * i).ok().and_then(|shift| codes.checked_shr(shift));
+        code.and_then(|c| TyCode::from_code((c & 0xf) as u8))
             .ok_or_else(|| HostError::new(0, "bad type code"))
     }
 
@@ -133,13 +136,16 @@ impl WasmHost {
     fn helper_builtin(&mut self, cpu: &mut Cpu) -> Result<Cost, HostError> {
         let base = cpu.regs().read(Reg::A1).v;
         let id = cpu.regs().read(Reg::A2).v;
-        let nargs = cpu.regs().read(Reg::A3).v as usize;
+        let nargs = cpu.regs().read(Reg::A3).v;
         let codes = cpu.regs().read(Reg::A4).v;
         let builtin = Builtin::from_code(id as u16)
             .ok_or_else(|| HostError::new(helpers::BUILTIN, format!("bad builtin id {id}")))?;
         let err = |m: String| HostError::new(helpers::BUILTIN, m);
 
-        let args: Vec<u64> = (0..nargs).map(|i| Self::read(cpu, base + i as u64 * 8)).collect();
+        let args: Vec<u64> = tarch_sim::arg_slots(helpers::BUILTIN, base, nargs, 8)?
+            .map(|addr| Self::read(cpu, addr))
+            .collect();
+        let nargs = args.len();
         let arg = |i: usize| args.get(i).copied().unwrap_or(NIL);
         let code = |i: usize| Self::code_at(codes, i);
         // Numeric view of an argument under its static code.

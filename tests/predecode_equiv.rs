@@ -15,11 +15,23 @@
 //!   including ones that trap or run into a bounded loop);
 //! * real Lua, JS and WASM workloads through the full simulated engines,
 //!   at all three ISA levels.
+//!
+//! The shared code cache is held to a stricter bar still: a core that
+//! adopts blocks and closures from a warm cache must report exactly what
+//! a core without one reports, host-side statistics and trace events
+//! included.
 
+use std::sync::Arc;
 use tarch_bench::workloads::{self, Scale};
-use tarch_core::{BranchStats, CoreConfig, Cpu, PerfCounters, StepEvent, Trap};
+use tarch_core::trace::TraceEvent;
+use tarch_core::{
+    BlockStats, BranchStats, CodeCache, CoreConfig, Cpu, IsaLevel, PerfCounters, PredecodeStats,
+    StepEvent, TraceSummary, Trap,
+};
 use tarch_isa::asm::Program;
-use tarch_isa::{samples, Instruction, Reg};
+use tarch_isa::text::assemble;
+use tarch_isa::{samples, AluImmOp, Instruction, Reg};
+use tarch_sim::{Engine, Machine, RunOutcome, Vm};
 
 const TEXT_BASE: u64 = 0x1000;
 const DATA_BASE: u64 = 0x2_0000;
@@ -377,4 +389,159 @@ fn helper_heavy_workload_counters_identical() {
     // write simulated memory via `mem_mut` — the epoch-revalidation path
     // for both the predecode slots and the block table.
     check_vm_equivalence("k-nucleotide");
+}
+
+/// The shipping engine with tracing on and a ring large enough to keep
+/// every event, so a run's whole event stream can be compared.
+fn cache_config() -> CoreConfig {
+    let mut cfg = config(VARIANTS[VARIANTS.len() - 1]);
+    if let Some(trace) = cfg.trace.as_mut() {
+        trace.ring_capacity = 1 << 16;
+    }
+    cfg
+}
+
+/// Everything a core reports about itself: architectural results plus
+/// the host-side statistics and trace that must not depend on a cache.
+#[derive(Debug, PartialEq)]
+struct CoreReport {
+    outcome: Result<StepEvent, Trap>,
+    output: String,
+    counters: PerfCounters,
+    branch: BranchStats,
+    blocks: BlockStats,
+    predecode: PredecodeStats,
+    trace: Option<TraceSummary>,
+    events: Vec<TraceEvent>,
+}
+
+fn core_report(cpu: &mut Cpu, outcome: Result<StepEvent, Trap>, output: String) -> CoreReport {
+    let trace = cpu.finish_trace();
+    CoreReport {
+        outcome,
+        output,
+        counters: *cpu.counters(),
+        branch: cpu.branch_stats(),
+        blocks: cpu.block_stats(),
+        predecode: cpu.predecode_stats(),
+        trace,
+        events: cpu.tracer().map(|t| t.ring().iter().copied().collect()).unwrap_or_default(),
+    }
+}
+
+/// Warms each level's code cache with `warmers`, then runs `src` once
+/// through `Vm::new` (cache attached) and once on a machine loaded with
+/// the same image but no cache; the two reports must be identical.
+fn check_warm_cache<E: Engine>(
+    engine: &str,
+    src: &str,
+    warmers: &[String],
+    host: impl Fn(Vec<String>) -> E::Host,
+    output: impl Fn(&E::Host) -> String,
+) {
+    let cfg = cache_config();
+    for level in IsaLevel::ALL {
+        let tag = format!("{engine} {level}");
+        for warm in warmers {
+            let mut vm = Vm::<E>::from_source(warm, level, cfg.clone()).expect("warmer builds");
+            vm.run(VM_STEPS).unwrap_or_else(|e| panic!("{tag} warmer: {e}"));
+        }
+        let mut vm = Vm::<E>::from_source(src, level, cfg.clone()).expect("builds");
+        let cache = Arc::clone(&vm.image().code_cache);
+        let before = cache.stats();
+        let report = vm.run(VM_STEPS).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let cached = core_report(vm.cpu_mut(), Ok(StepEvent::Halted), report.output);
+        let after = cache.stats();
+        assert!(after.adopted > before.adopted, "{tag}: the warm cache served no block");
+        assert!(after.closures_adopted > before.closures_adopted, "{tag}: no closure adopted");
+
+        let image = vm.image();
+        let mut machine = Machine::new(cfg.clone(), host(image.strings.clone()));
+        machine.load(&image.program);
+        let outcome = machine.run(VM_STEPS).unwrap_or_else(|e| panic!("{tag} uncached: {e}"));
+        assert_eq!(outcome, RunOutcome::Halted, "{tag} uncached");
+        let out = output(machine.host());
+        let uncached = core_report(machine.cpu_mut(), Ok(StepEvent::Halted), out);
+        assert_eq!(cached, uncached, "{tag}: a warm code cache changed what the core reports");
+    }
+}
+
+#[test]
+fn warm_code_cache_changes_no_counter_or_statistic() {
+    let source = |name: &str| workloads::by_name(name).expect("known workload").source(Scale::Test);
+    // All three link the same jsrt and wasmrt texts (main has locals),
+    // so the warmers fill the cache the tested module runs on.
+    let src = source("k-nucleotide");
+    let warmers = [source("n-sieve"), source("spectral-norm")];
+    check_warm_cache::<luart::Lua>("luart", &src, &warmers, luart::LuaHost::new, |h| {
+        h.output().to_string()
+    });
+    check_warm_cache::<jsrt::Js>("jsrt", &src, &warmers, jsrt::JsHost::new, |h| {
+        h.output().to_string()
+    });
+    check_warm_cache::<wasmrt::Wasm>("wasmrt", &src, &warmers, wasmrt::WasmHost::new, |h| {
+        h.output().to_string()
+    });
+}
+
+/// A loop whose body a guest store rewrites halfway: four `+1` passes,
+/// then four `+100` passes over the same entry pc.
+const SMC_SRC: &str = "
+top:
+    addi a0, a0, 1      # patch target: rewritten to addi a0, a0, 100
+    j    mid
+mid:
+    addi s1, s1, -1
+    bnez s1, top
+    bnez s2, done
+    li   s2, 1
+    li   s1, 4
+    li   s3, 0x20000    # data base: holds the replacement word
+    lw   t0, 0(s3)
+    li   s4, 0x1000     # text base: address of the patch target
+    sw   t0, 0(s4)
+    bnez s2, top
+done:
+    halt
+";
+
+/// [`SMC_SRC`] with its replacement word in data.
+fn smc_program() -> Program {
+    let mut program = assemble(SMC_SRC, TEXT_BASE, DATA_BASE).expect("assembles");
+    let patch = Instruction::AluImm { op: AluImmOp::Addi, rd: Reg::A0, rs1: Reg::A0, imm: 100 };
+    program.data = patch.encode().expect("encodes").to_le_bytes().to_vec();
+    program
+}
+
+/// Runs [`SMC_SRC`] on a fresh core, with `cache` attached if given.
+fn run_smc(cache: Option<&CodeCache>) -> CoreReport {
+    let mut cpu = Cpu::new(cache_config());
+    cpu.load_program(&smc_program());
+    if let Some(cache) = cache {
+        cpu.attach_code_cache(cache);
+    }
+    cpu.regs_mut().write_untyped(Reg::S1, 4);
+    let outcome = cpu.run(10_000);
+    assert_eq!(cpu.regs().read(Reg::A0).v, 404, "the rewritten word must take effect");
+    core_report(&mut cpu, outcome, String::new())
+}
+
+/// One core rewrites a word of the text a cache was built over: its
+/// rebuilt block must not be adopted from (or published over) the
+/// cache's stale entry, and a second core running the same program
+/// must adopt the original block, then take the word-check path after
+/// its own rewrite. Both report what a core without a cache reports.
+#[test]
+fn self_modifying_store_takes_the_word_check_path() {
+    let uncached = run_smc(None);
+    let program = smc_program();
+    let cache = CodeCache::new(program.text_base, program.text.len());
+    assert_eq!(run_smc(Some(&cache)), uncached, "first core (publishes)");
+    let first = cache.stats();
+    assert!(first.published > 0 && first.rejected > 0, "{first:?}");
+    assert_eq!(run_smc(Some(&cache)), uncached, "second core (adopts, then rejects)");
+    let second = cache.stats();
+    assert_eq!(second.published, first.published, "a rewritten block was published");
+    assert!(second.adopted > first.adopted, "{second:?}");
+    assert!(second.rejected > first.rejected, "{second:?}");
 }
